@@ -226,6 +226,217 @@ TEST(CacheCompat, CorruptV5FixtureQuarantinesByteVerbatim)
     std::remove(aside.c_str());
 }
 
+// ---- v5 golden image ---------------------------------------------------
+
+/** Every key of the golden fill, per kind. */
+struct GoldenKeys
+{
+    std::vector<CacheKey> scalars;
+    std::vector<CacheKey> fronts;
+    std::vector<CacheKey> segs;
+    std::vector<std::vector<dse::SegmentKeyId>> segStages;
+};
+
+LayerResult
+goldenResult(std::uint64_t n)
+{
+    LayerResult r;
+    r.cycles = Int(1000 + 37 * n);
+    r.utilization = 0.125 + double(n) / 64.0;
+    r.dramBytes = Int(4096 + 11 * n);
+    r.energyPj = 3.75 * double(n + 1);
+    r.macs = Int(512 * (n + 1));
+    r.memoryBound = n % 2 == 1;
+    return r;
+}
+
+/**
+ * Deterministic fill with all three record kinds: six scalars, four
+ * multi-point frontiers, a 2-stage and a 3-stage segment. Keys are
+ * chosen so no shard holds two entries of one kind: loadEx re-inserts
+ * in file order and an unordered_map's in-bucket order depends on
+ * insertion order, so only then does load -> save round-trip the
+ * bytes exactly.
+ */
+GoldenKeys
+fillGolden(CostCache *cache)
+{
+    constexpr std::uint64_t kShards = 16; // CostCache's default.
+    HardwareConfig hw;
+    const Model m = makeLeNet();
+    GoldenKeys keys;
+    auto distinctShard = [&](const std::vector<CacheKey> &taken,
+                             const CacheKey &k) {
+        for (const CacheKey &t : taken)
+            if (t.hashValue % kShards == k.hashValue % kShards)
+                return false;
+        return true;
+    };
+
+    for (std::uint64_t n = 0; keys.scalars.size() < 6; ++n) {
+        Mapping map;
+        map.dataflow = DataflowTag(n % 4);
+        map.tm = Int(16 << (n % 3));
+        map.tn = Int(8 + n);
+        const CacheKey k =
+            dse::makeCacheKey(hw, m.layers[n % m.layers.size()], map);
+        if (!distinctShard(keys.scalars, k))
+            continue;
+        cache->insert(k, goldenResult(keys.scalars.size()));
+        keys.scalars.push_back(k);
+    }
+    for (std::uint64_t n = 0; keys.fronts.size() < 4; ++n) {
+        const CacheKey k = dse::makeFrontierKey(
+            hw, m.layers[n % m.layers.size()], 2 + n / m.layers.size());
+        if (!distinctShard(keys.fronts, k))
+            continue;
+        std::vector<dse::FrontierPoint> pts(2 + keys.fronts.size() % 3);
+        for (std::size_t p = 0; p < pts.size(); ++p) {
+            pts[p].mapping.dataflow = DataflowTag(p % 4);
+            pts[p].mapping.tm = Int(32 + p);
+            pts[p].mapping.tn = Int(16 * (p + 1));
+            pts[p].mapping.tk = Int(8 + keys.fronts.size());
+            pts[p].result = goldenResult(10 * keys.fronts.size() + p);
+            pts[p].seq = 7 * p + keys.fronts.size();
+        }
+        cache->insertFrontier(k, pts);
+        keys.fronts.push_back(k);
+    }
+    for (std::size_t stages : {2u, 3u}) {
+        for (std::uint64_t first = 0;; ++first) {
+            std::vector<dse::SegmentKeyId> ids;
+            for (std::size_t st = 0; st < stages; ++st)
+                ids.push_back(dse::segmentKeyId(
+                    m.layers[(first + st) % m.layers.size()],
+                    int(4 + st + first)));
+            const CacheKey k = dse::makeSegmentKey(hw, ids);
+            if (!distinctShard(keys.segs, k))
+                continue;
+            dse::SegmentRecord rec;
+            rec.id = ids;
+            for (std::size_t st = 0; st < stages; ++st) {
+                Mapping map;
+                map.dataflow = DataflowTag((st + 1) % 4);
+                map.tk = Int(24 + st);
+                rec.mappings.push_back(map);
+                rec.results.push_back(goldenResult(40 + st + stages));
+            }
+            rec.cost.feasible = true;
+            rec.cost.cycles = Int(9000 + stages);
+            rec.cost.energyPj = 123.5 * double(stages);
+            rec.cost.dramBytes = 777;
+            rec.cost.bufferBytes = 2048;
+            rec.cost.nocBytes = Int(64 * stages);
+            rec.cost.nocEnergyPj = 0.5;
+            rec.cost.sramEnergyPj = 1.25;
+            rec.cost.dramBytesSaved = 333;
+            cache->insertSegment(k, rec);
+            keys.segs.push_back(k);
+            keys.segStages.push_back(ids);
+            break;
+        }
+    }
+    return keys;
+}
+
+void
+expectSameResult(const LayerResult &a, const LayerResult &b)
+{
+    EXPECT_EQ(a.cycles, b.cycles);
+    EXPECT_EQ(a.utilization, b.utilization);
+    EXPECT_EQ(a.dramBytes, b.dramBytes);
+    EXPECT_EQ(a.energyPj, b.energyPj);
+    EXPECT_EQ(a.macs, b.macs);
+    EXPECT_EQ(a.memoryBound, b.memoryBound);
+}
+
+void
+expectSameMapping(const Mapping &a, const Mapping &b)
+{
+    EXPECT_EQ(a.dataflow, b.dataflow);
+    EXPECT_EQ(a.tm, b.tm);
+    EXPECT_EQ(a.tn, b.tn);
+    EXPECT_EQ(a.tk, b.tk);
+}
+
+TEST(CacheCompat, V5GoldenImageRoundTripsByteForByte)
+{
+    const std::string fixture = std::string(LEGO_SOURCE_DIR) +
+                                "/tests/fixtures/cache_v5_golden.bin";
+    const std::string golden = slurp(fixture);
+    ASSERT_FALSE(golden.empty());
+    const std::string path =
+        testing::TempDir() + "lego_cache_v5_golden.bin";
+
+    // A fresh fill saved to a fresh path (generation 1) is the
+    // fixture, byte for byte: the v5 layout has not drifted.
+    CostCache filled;
+    const GoldenKeys keys = fillGolden(&filled);
+    std::remove(path.c_str());
+    ASSERT_TRUE(filled.save(path));
+    EXPECT_EQ(slurp(path), golden);
+
+    // Loading the fixture and saving it again reproduces it too.
+    CostCache loaded;
+    ASSERT_EQ(loaded.loadEx(fixture), CacheLoadStatus::Loaded);
+    EXPECT_EQ(loaded.size(), keys.scalars.size());
+    EXPECT_EQ(loaded.frontierCount(), keys.fronts.size());
+    EXPECT_EQ(loaded.segmentCount(), keys.segs.size());
+    std::remove(path.c_str());
+    ASSERT_TRUE(loaded.save(path));
+    EXPECT_EQ(slurp(path), golden);
+    std::remove(path.c_str());
+
+    // The merge path (loadEx) and the in-place probe (attachShared)
+    // decode identical records for every key.
+    CostCache mapped;
+    ASSERT_TRUE(mapped.attachShared(fixture));
+    for (const CacheKey &k : keys.scalars) {
+        LayerResult a, b;
+        ASSERT_TRUE(loaded.lookup(k, &a));
+        ASSERT_TRUE(mapped.lookup(k, &b));
+        expectSameResult(a, b);
+    }
+    for (const CacheKey &k : keys.fronts) {
+        std::vector<dse::FrontierPoint> a, b;
+        ASSERT_TRUE(loaded.lookupFrontier(k, &a));
+        ASSERT_TRUE(mapped.lookupFrontier(k, &b));
+        ASSERT_EQ(a.size(), b.size());
+        ASSERT_GE(a.size(), 2u);
+        for (std::size_t p = 0; p < a.size(); ++p) {
+            expectSameMapping(a[p].mapping, b[p].mapping);
+            expectSameResult(a[p].result, b[p].result);
+            EXPECT_EQ(a[p].seq, b[p].seq);
+        }
+    }
+    for (std::size_t i = 0; i < keys.segs.size(); ++i) {
+        dse::SegmentRecord a, b;
+        ASSERT_TRUE(loaded.lookupSegment(keys.segs[i],
+                                         keys.segStages[i], &a));
+        ASSERT_TRUE(mapped.lookupSegment(keys.segs[i],
+                                         keys.segStages[i], &b));
+        EXPECT_TRUE(a.id == b.id);
+        ASSERT_EQ(a.mappings.size(), b.mappings.size());
+        ASSERT_EQ(a.results.size(), b.results.size());
+        for (std::size_t st = 0; st < a.mappings.size(); ++st) {
+            expectSameMapping(a.mappings[st], b.mappings[st]);
+            expectSameResult(a.results[st], b.results[st]);
+        }
+        EXPECT_EQ(a.cost.feasible, b.cost.feasible);
+        EXPECT_EQ(a.cost.cycles, b.cost.cycles);
+        EXPECT_EQ(a.cost.energyPj, b.cost.energyPj);
+        EXPECT_EQ(a.cost.dramBytes, b.cost.dramBytes);
+        EXPECT_EQ(a.cost.bufferBytes, b.cost.bufferBytes);
+        EXPECT_EQ(a.cost.nocBytes, b.cost.nocBytes);
+        EXPECT_EQ(a.cost.nocEnergyPj, b.cost.nocEnergyPj);
+        EXPECT_EQ(a.cost.sramEnergyPj, b.cost.sramEnergyPj);
+        EXPECT_EQ(a.cost.dramBytesSaved, b.cost.dramBytesSaved);
+    }
+    EXPECT_EQ(mapped.sharedHits(), keys.scalars.size());
+    EXPECT_EQ(mapped.sharedFrontHits(), keys.fronts.size());
+    EXPECT_EQ(mapped.sharedSegHits(), keys.segs.size());
+}
+
 /** Writer cache with all three entry kinds, saved to `path`. */
 void
 publishSnapshot(const std::string &path, CostCache *cache)
