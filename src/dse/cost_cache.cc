@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <tuple>
 #include <utility>
 
 #include <fcntl.h>
@@ -137,24 +138,20 @@ enum : std::size_t
     kHeaderWords = 16,
 };
 
+
 constexpr std::uint64_t kResultWords = 6;
 /** Derived from the key type so a grown CacheKey::words can never
  *  desync the load-time entry-size prechecks from save()'s layout. */
 constexpr std::uint64_t kKeyWords =
     std::tuple_size<decltype(CacheKey::words)>::value;
+constexpr std::uint64_t kMappingWords = 4;
 /** dataflow, tm, tn, tk, LayerResult, seq. */
-constexpr std::uint64_t kFrontierPointWords = 4 + kResultWords + 1;
+constexpr std::uint64_t kFrontierPointWords =
+    kMappingWords + kResultWords + 1;
 constexpr std::uint64_t kSegmentCostWords = 9;
 /** sig15, cols, mapping4, LayerResult. */
 constexpr std::uint64_t kSegmentStageWords =
-    LayerSignature::kWords + 1 + 4 + kResultWords;
-
-/** Entry strides in the fixed-width arrays. */
-constexpr std::uint64_t kScalarEntryWords = kKeyWords + kResultWords;
-/** key, pointCount, heap offset. */
-constexpr std::uint64_t kFrontEntryWords = kKeyWords + 2;
-/** key, stageCount, heap offset. */
-constexpr std::uint64_t kSegEntryWords = kKeyWords + 2;
+    LayerSignature::kWords + 1 + kMappingWords + kResultWords;
 
 /** Open-addressed table sizing: power of two, load factor <= 1/2
  *  (so probes terminate fast and the table can never fill). */
@@ -169,27 +166,46 @@ slotCountFor(std::uint64_t entries)
     return s;
 }
 
-// ---- exact serialized entry footprints (byte accounting) ------------
-
-std::uint64_t
-scalarEntryBytes()
+/** A header read on its own (publish and refresh paths): right magic
+ *  and version, and its CRC holds. */
+bool
+headerIntact(const std::uint64_t (&hdr)[kHeaderWords])
 {
-    return kScalarEntryWords * 8;
+    return hdr[kHdrMagic] == kCacheFileMagic &&
+           hdr[kHdrVersion] == kCacheFileVersion &&
+           hdr[kHdrHeaderCrc] ==
+               crc32Of(reinterpret_cast<const char *>(hdr),
+                       (kHeaderWords - 1) * 8);
 }
 
-std::uint64_t
-frontierEntryBytes(std::size_t points)
+/** Check argument of the kinds whose key alone identifies a record. */
+struct NoCheck
 {
-    return (kFrontEntryWords + points * kFrontierPointWords) * 8;
+};
+
+using CacheCounter = std::atomic<std::uint64_t> CostCache::*;
+using StatSlot = std::atomic<std::uint64_t> StatsContext::*;
+
+/** Heap words of a kind-K record holding `items` items. */
+template <class K>
+constexpr std::uint64_t
+heapWordsOf(std::uint64_t items)
+{
+    return items * K::kItemWords + K::kTailWords;
 }
 
+/** Exact serialized footprint of one kind-K entry (byte accounting:
+ *  what save() writes for it, key included). */
+template <class K>
 std::uint64_t
-segmentEntryBytes(std::size_t stages)
+entryBytes(const typename K::Value &val)
 {
-    return (kSegEntryWords + stages * kSegmentStageWords +
-            kSegmentCostWords) *
-           8;
+    return (K::kEntryWords + heapWordsOf<K>(K::items(val))) * 8;
 }
+
+/** One kind's (key, value) pairs, as save() snapshots them. */
+template <class K>
+using Records = std::vector<std::pair<CacheKey, typename K::Value>>;
 
 /** In-memory serialization buffer: save() builds the whole file
  *  image first so it can be checksummed and written (and fsynced)
@@ -235,18 +251,25 @@ readResult(const std::uint64_t *w)
     return r;
 }
 
-/** Decode one FrontierPoint from eleven words at `w`. */
-FrontierPoint
-readFrontierPoint(const std::uint64_t *w)
+void
+putMapping(Blob &out, const Mapping &m)
 {
-    FrontierPoint p;
-    p.mapping.dataflow = DataflowTag(w[0]);
-    p.mapping.tm = Int(w[1]);
-    p.mapping.tn = Int(w[2]);
-    p.mapping.tk = Int(w[3]);
-    p.result = readResult(w + 4);
-    p.seq = w[4 + kResultWords];
-    return p;
+    out.word(std::uint64_t(m.dataflow));
+    out.word(std::uint64_t(m.tm));
+    out.word(std::uint64_t(m.tn));
+    out.word(std::uint64_t(m.tk));
+}
+
+/** Decode one Mapping from four words at `w`. */
+Mapping
+readMapping(const std::uint64_t *w)
+{
+    Mapping m;
+    m.dataflow = DataflowTag(w[0]);
+    m.tm = Int(w[1]);
+    m.tn = Int(w[2]);
+    m.tk = Int(w[3]);
+    return m;
 }
 
 void
@@ -419,16 +442,353 @@ makeSegmentKey(const HardwareConfig &hw,
     return key;
 }
 
-// ---- shared read-mostly tier: the mmap'd snapshot --------------------
+// ---- record kinds ----------------------------------------------------
+
+/*
+ * One traits struct per record kind. Each fixes:
+ *  - Value, and Check: what a lookup must match beyond the key;
+ *  - kRank: the kind's order in the file and its eviction rank
+ *    (lower ranks are evicted first);
+ *  - kHdrSlots/kHdrCount: its header slot-table size and entry-count
+ *    words;
+ *  - kL0Slots: its thread-local L0 size (0 = no L0);
+ *  - its v5 layout: kEntryWords per fixed-stride entry (key
+ *    included). Kinds with a heap payload (kItemWords != 0) store
+ *    (item count, heap offset) after the key, and their heap record
+ *    is kItemWords per item plus kTailWords, with at least kMinItems
+ *    items. Kinds without one store the value inline;
+ *  - put/decode: the value's payload words (inline or heap);
+ *  - kTable: its table in each Shard;
+ *  - the CostCache and StatsContext counters its traffic bumps.
+ */
+
+struct CostCache::ScalarKind
+{
+    using Value = LayerResult;
+    using Check = NoCheck;
+    static constexpr std::uint8_t kRank = 0;
+    static constexpr std::size_t kHdrSlots = kHdrScalarSlots;
+    static constexpr std::size_t kHdrCount = kHdrScalarCount;
+    static constexpr std::size_t kL0Slots = 4096;
+    static constexpr std::uint64_t kEntryWords = kKeyWords + kResultWords;
+    static constexpr std::uint64_t kItemWords = 0;
+    static constexpr std::uint64_t kTailWords = 0;
+    static constexpr auto kTable = &Shard::map;
+    static constexpr CacheCounter kHits = &CostCache::hits_;
+    static constexpr CacheCounter kMisses = &CostCache::misses_;
+    static constexpr CacheCounter kInserts = &CostCache::inserts_;
+    static constexpr CacheCounter kSharedHits = &CostCache::sharedHits_;
+    static constexpr CacheCounter kL0Hits = &CostCache::l0Hits_;
+    static constexpr CacheCounter kL0Misses = &CostCache::l0Misses_;
+    static constexpr StatSlot kCtxHits = &StatsContext::cacheHits;
+    static constexpr StatSlot kCtxMisses = &StatsContext::cacheMisses;
+    static constexpr StatSlot kCtxSharedHits = &StatsContext::sharedHits;
+    static constexpr StatSlot kCtxL0Hits = &StatsContext::l0Hits;
+    static constexpr StatSlot kCtxL0Misses = &StatsContext::l0Misses;
+
+    static std::uint64_t items(const Value &) { return 0; }
+    static bool matches(const Value &, const Check &) { return true; }
+    static void put(Blob &out, const Value &v) { putResult(out, v); }
+    static void decode(const std::uint64_t *w, std::uint64_t,
+                       Value *out)
+    {
+        *out = readResult(w);
+    }
+};
+
+struct CostCache::FrontierKind
+{
+    using Value = std::vector<FrontierPoint>;
+    using Check = NoCheck;
+    static constexpr std::uint8_t kRank = 1;
+    static constexpr std::size_t kHdrSlots = kHdrFrontSlots;
+    static constexpr std::size_t kHdrCount = kHdrFrontCount;
+    static constexpr std::size_t kL0Slots = 512;
+    static constexpr std::uint64_t kEntryWords = kKeyWords + 2;
+    static constexpr std::uint64_t kItemWords = kFrontierPointWords;
+    static constexpr std::uint64_t kTailWords = 0;
+    /** save() never writes an empty frontier; a file holding one is
+     *  rejected at load instead of panicking mid-sweep later. */
+    static constexpr std::uint64_t kMinItems = 1;
+    static constexpr auto kTable = &Shard::fronts;
+    static constexpr CacheCounter kHits = &CostCache::frontHits_;
+    static constexpr CacheCounter kMisses = &CostCache::frontMisses_;
+    static constexpr CacheCounter kInserts = &CostCache::frontInserts_;
+    static constexpr CacheCounter kSharedHits =
+        &CostCache::sharedFrontHits_;
+    /** Frontier L0 hits count as frontier hits; L0 misses are not
+     *  counted (the L1 lookup behind them counts a hit or a miss). */
+    static constexpr CacheCounter kL0Hits = &CostCache::frontHits_;
+    static constexpr CacheCounter kL0Misses = nullptr;
+    static constexpr StatSlot kCtxHits = &StatsContext::frontHits;
+    static constexpr StatSlot kCtxMisses = &StatsContext::frontMisses;
+    static constexpr StatSlot kCtxSharedHits =
+        &StatsContext::sharedFrontHits;
+    static constexpr StatSlot kCtxL0Hits = &StatsContext::frontHits;
+
+    static std::uint64_t items(const Value &v) { return v.size(); }
+    static bool matches(const Value &, const Check &) { return true; }
+    static void put(Blob &out, const Value &v)
+    {
+        for (const FrontierPoint &p : v) {
+            putMapping(out, p.mapping);
+            putResult(out, p.result);
+            out.word(p.seq);
+        }
+    }
+    static void decode(const std::uint64_t *w, std::uint64_t points,
+                       Value *out)
+    {
+        out->clear();
+        out->reserve(std::size_t(points));
+        for (std::uint64_t p = 0; p < points; ++p, w += kItemWords) {
+            FrontierPoint fp;
+            fp.mapping = readMapping(w);
+            fp.result = readResult(w + kMappingWords);
+            fp.seq = w[kMappingWords + kResultWords];
+            out->push_back(fp);
+        }
+    }
+};
+
+struct CostCache::SegmentKind
+{
+    using Value = SegmentRecord;
+    /** The exact per-stage identity: a stored record whose id differs
+     *  (hashed-tag collision) is a miss, preserving exactness. */
+    using Check = std::vector<SegmentKeyId>;
+    static constexpr std::uint8_t kRank = 2;
+    static constexpr std::size_t kHdrSlots = kHdrSegSlots;
+    static constexpr std::size_t kHdrCount = kHdrSegCount;
+    static constexpr std::size_t kL0Slots = 0;
+    static constexpr std::uint64_t kEntryWords = kKeyWords + 2;
+    static constexpr std::uint64_t kItemWords = kSegmentStageWords;
+    static constexpr std::uint64_t kTailWords = kSegmentCostWords;
+    /** A segment record always has >= 2 stages. */
+    static constexpr std::uint64_t kMinItems = 2;
+    static constexpr auto kTable = &Shard::segs;
+    static constexpr CacheCounter kHits = &CostCache::segHits_;
+    static constexpr CacheCounter kMisses = &CostCache::segMisses_;
+    static constexpr CacheCounter kInserts = &CostCache::segInserts_;
+    static constexpr CacheCounter kSharedHits =
+        &CostCache::sharedSegHits_;
+    static constexpr StatSlot kCtxHits = &StatsContext::segHits;
+    static constexpr StatSlot kCtxMisses = &StatsContext::segMisses;
+    static constexpr StatSlot kCtxSharedHits =
+        &StatsContext::sharedSegHits;
+
+    static std::uint64_t items(const Value &v) { return v.id.size(); }
+    static bool matches(const Value &v, const Check &stages)
+    {
+        return v.id == stages;
+    }
+    static void put(Blob &out, const Value &rec)
+    {
+        for (std::size_t st = 0; st < rec.id.size(); ++st) {
+            for (std::uint64_t w : rec.id[st].sig)
+                out.word(w);
+            out.word(rec.id[st].cols);
+            putMapping(out, rec.mappings[st]);
+            putResult(out, rec.results[st]);
+        }
+        putSegmentCost(out, rec.cost);
+    }
+    static void decode(const std::uint64_t *w, std::uint64_t stages,
+                       Value *out)
+    {
+        out->id.resize(std::size_t(stages));
+        out->mappings.resize(std::size_t(stages));
+        out->results.resize(std::size_t(stages));
+        for (std::uint64_t st = 0; st < stages; ++st, w += kItemWords) {
+            std::copy(w, w + LayerSignature::kWords,
+                      out->id[st].sig.begin());
+            out->id[st].cols = w[LayerSignature::kWords];
+            out->mappings[st] = readMapping(w + LayerSignature::kWords + 1);
+            out->results[st] = readResult(w + LayerSignature::kWords + 1 +
+                                          kMappingWords);
+        }
+        out->cost = readSegmentCost(w);
+    }
+};
+
+template <class F>
+void
+CostCache::forEachKind(F &&f)
+{
+    f(ScalarKind{});
+    f(FrontierKind{});
+    f(SegmentKind{});
+}
+
+// ---- the v5 image: one validator, one decoder ------------------------
 
 /**
- * One immutable mapping of a published v5 snapshot. Fully validated
- * at map() time (header CRC, body CRC, every count/offset bound), so
- * probes can trust the image structurally; probes still bound their
- * walk so even a logically inconsistent table terminates. Instances
- * are shared_ptr-held: a remap publishes a new instance while
- * in-flight probes finish on the old one, which unmaps when its
- * last reference drops.
+ * Read-only view of one v5 file image: the mmap'd shared tier, or the
+ * buffer loadEx read. open() is the single validator (header, both
+ * CRCs, region layout, every slot and heap reference), so the
+ * accessors trust the image; probes still bound their walk so even a
+ * logically inconsistent table terminates.
+ */
+class CacheImage
+{
+  public:
+    /** Validate `bytes` bytes at `w`: Loaded, Stale (another version
+     *  or schema) or Corrupt. The view is usable only after Loaded. */
+    CacheLoadStatus open(const std::uint64_t *w, std::size_t bytes);
+
+    std::uint64_t generation() const { return w_[kHdrGeneration]; }
+
+    template <class K>
+    std::uint64_t count() const
+    {
+        return w_[K::kHdrCount];
+    }
+
+    /** Key of kind-K entry `e`, hash filled. */
+    template <class K>
+    CacheKey key(std::uint64_t e) const
+    {
+        const std::uint64_t *ew = entry<K>(e);
+        CacheKey k;
+        std::copy(ew, ew + kKeyWords, k.words.begin());
+        k.hashValue = k.computeHash();
+        return k;
+    }
+
+    /** Decode the value of kind-K entry `e`. */
+    template <class K>
+    void decode(std::uint64_t e, typename K::Value *out) const
+    {
+        const std::uint64_t *ew = entry<K>(e) + kKeyWords;
+        if constexpr (K::kItemWords == 0)
+            K::decode(ew, 0, out);
+        else
+            K::decode(w_ + heapAt_ + ew[1], ew[0], out);
+    }
+
+    /** Probe kind K's open-addressed table; decode on a match. */
+    template <class K>
+    bool lookup(const CacheKey &key, const typename K::Check &check,
+                typename K::Value *out) const
+    {
+        const std::uint64_t e = find<K>(key);
+        if (e == kNone)
+            return false;
+        decode<K>(e, out);
+        return K::matches(*out, check);
+    }
+
+  private:
+    static constexpr std::uint64_t kNone = ~0ull;
+
+    template <class K>
+    const std::uint64_t *entry(std::uint64_t e) const
+    {
+        return w_ + entriesAt_[K::kRank] + e * K::kEntryWords;
+    }
+
+    /**
+     * Linear probing over the power-of-two slot table: the index of
+     * the entry whose key matches, or kNone. A zero slot ends the
+     * chain (load factor <= 1/2 guarantees empties exist).
+     */
+    template <class K>
+    std::uint64_t find(const CacheKey &key) const
+    {
+        const std::uint64_t slots = w_[K::kHdrSlots];
+        if (slots == 0)
+            return kNone;
+        const std::uint64_t mask = slots - 1;
+        std::uint64_t idx = key.hashValue & mask;
+        for (std::uint64_t walked = 0; walked <= mask; ++walked) {
+            const std::uint64_t slot = w_[slotsAt_[K::kRank] + idx];
+            if (slot == 0)
+                return kNone;
+            if (std::equal(key.words.begin(), key.words.end(),
+                           entry<K>(slot - 1)))
+                return slot - 1;
+            idx = (idx + 1) & mask;
+        }
+        return kNone;
+    }
+
+    const std::uint64_t *w_ = nullptr;
+    std::array<std::uint64_t, 3> slotsAt_{};
+    std::array<std::uint64_t, 3> entriesAt_{};
+    std::uint64_t heapAt_ = 0;
+};
+
+CacheLoadStatus
+CacheImage::open(const std::uint64_t *w, std::size_t bytes)
+{
+    if (bytes < kHeaderWords * 8 || bytes % 8 != 0 ||
+        w[kHdrMagic] != kCacheFileMagic)
+        return CacheLoadStatus::Corrupt;
+    // A wrong version or schema on an intact magic is a file from
+    // another build — a DELIBERATE cold start, not corruption (so
+    // loadOrQuarantine won't destroy a downgrade's still-good file).
+    // v4-and-earlier files land here: their word 1 is the old
+    // version stamp.
+    if (w[kHdrVersion] != kCacheFileVersion ||
+        w[kHdrSchema] != CostCache::schemaHash())
+        return CacheLoadStatus::Stale;
+    const char *b = reinterpret_cast<const char *>(w);
+    const std::uint64_t maxWords = bytes / 8;
+    const std::uint64_t heapWords = w[kHdrHeapWords];
+    if (w[kHdrHeaderCrc] != crc32Of(b, (kHeaderWords - 1) * 8) ||
+        w[kHdrTotalWords] != maxWords || heapWords > maxWords)
+        return CacheLoadStatus::Corrupt;
+
+    // Region layout. Counts are cross-checked against the file length
+    // before any use (divide, never multiply, so a hostile count
+    // cannot overflow the check), and the regions must consume the
+    // file exactly.
+    bool ok = true;
+    std::uint64_t at = kHeaderWords;
+    CostCache::forEachKind([&](auto kind) {
+        using K = decltype(kind);
+        const std::uint64_t slots = w[K::kHdrSlots];
+        const std::uint64_t n = w[K::kHdrCount];
+        ok = ok && n <= maxWords / K::kEntryWords &&
+             slots == slotCountFor(n);
+        if (!ok)
+            return;
+        slotsAt_[K::kRank] = at;
+        entriesAt_[K::kRank] = at + slots;
+        at += slots + n * K::kEntryWords;
+    });
+    if (!ok || at + heapWords != maxWords ||
+        w[kHdrBodyCrc] != crc32Of(b + kHeaderWords * 8,
+                                  bytes - kHeaderWords * 8))
+        return CacheLoadStatus::Corrupt;
+    w_ = w;
+    heapAt_ = at;
+
+    // Slot values index entries; heap references stay in the heap.
+    CostCache::forEachKind([&](auto kind) {
+        using K = decltype(kind);
+        const std::uint64_t n = count<K>();
+        for (std::uint64_t i = 0; i < w[K::kHdrSlots]; ++i)
+            ok = ok && w[slotsAt_[K::kRank] + i] <= n;
+        if constexpr (K::kItemWords != 0) {
+            for (std::uint64_t e = 0; e < n && ok; ++e) {
+                const std::uint64_t items = entry<K>(e)[kKeyWords];
+                const std::uint64_t off = entry<K>(e)[kKeyWords + 1];
+                ok = items >= K::kMinItems &&
+                     items <= heapWords / K::kItemWords &&
+                     heapWordsOf<K>(items) <= heapWords &&
+                     off <= heapWords - heapWordsOf<K>(items);
+            }
+        }
+    });
+    return ok ? CacheLoadStatus::Loaded : CacheLoadStatus::Corrupt;
+}
+
+/**
+ * One immutable mapping of a published v5 snapshot, validated at
+ * map() time. Instances are shared_ptr-held: a remap publishes a new
+ * instance while in-flight probes finish on the old one, which
+ * unmaps when its last reference drops.
  */
 class SharedSnapshot
 {
@@ -444,9 +804,9 @@ class SharedSnapshot
 
     /**
      * mmap `path` read-only and validate it as a v5 snapshot.
-     * Returns null unless the file exists, passes both CRCs, and
-     * every structural bound holds — an unpublished, stale, or
-     * damaged file is simply "no shared tier yet".
+     * Returns null unless the file exists and CacheImage::open
+     * accepts it — an unpublished, stale, or damaged file is simply
+     * "no shared tier yet".
      */
     static std::shared_ptr<const SharedSnapshot>
     map(const std::string &path)
@@ -455,9 +815,8 @@ class SharedSnapshot
         if (fd < 0)
             return nullptr;
         struct stat st = {};
-        if (::fstat(fd, &st) != 0 || st.st_size <= 0 ||
-            std::size_t(st.st_size) < kHeaderWords * 8 ||
-            std::size_t(st.st_size) % 8 != 0) {
+        if (::fstat(fd, &st) != 0 ||
+            st.st_size < off_t(kHeaderWords * 8)) {
             ::close(fd);
             return nullptr;
         }
@@ -469,223 +828,20 @@ class SharedSnapshot
         std::shared_ptr<SharedSnapshot> snap(new SharedSnapshot);
         snap->base_ = base;
         snap->bytes_ = std::size_t(st.st_size);
-        snap->w_ = static_cast<const std::uint64_t *>(base);
-        if (!snap->validate())
+        if (snap->image_.open(static_cast<const std::uint64_t *>(base),
+                              snap->bytes_) != CacheLoadStatus::Loaded)
             return nullptr; // Destructor unmaps.
         return snap;
     }
 
-    std::uint64_t generation() const
-    {
-        return w_[kHdrGeneration];
-    }
-
-    bool lookupScalar(const CacheKey &key, LayerResult *out) const
-    {
-        const std::uint64_t at =
-            probe(scalarSlotsAt_, w_[kHdrScalarSlots],
-                  scalarEntriesAt_, kScalarEntryWords, key);
-        if (at == kNone)
-            return false;
-        *out = readResult(w_ + at + kKeyWords);
-        return true;
-    }
-
-    bool lookupFrontier(const CacheKey &key,
-                        std::vector<FrontierPoint> *out) const
-    {
-        const std::uint64_t at =
-            probe(frontSlotsAt_, w_[kHdrFrontSlots], frontEntriesAt_,
-                  kFrontEntryWords, key);
-        if (at == kNone)
-            return false;
-        const std::uint64_t points = w_[at + kKeyWords];
-        const std::uint64_t *heap =
-            w_ + heapAt_ + w_[at + kKeyWords + 1];
-        out->clear();
-        out->reserve(std::size_t(points));
-        for (std::uint64_t p = 0; p < points; ++p)
-            out->push_back(
-                readFrontierPoint(heap + p * kFrontierPointWords));
-        return true;
-    }
-
-    bool lookupSegment(const CacheKey &key,
-                       const std::vector<SegmentKeyId> &stages,
-                       SegmentRecord *out) const
-    {
-        const std::uint64_t at =
-            probe(segSlotsAt_, w_[kHdrSegSlots], segEntriesAt_,
-                  kSegEntryWords, key);
-        if (at == kNone)
-            return false;
-        const std::uint64_t stageCount = w_[at + kKeyWords];
-        if (stageCount != stages.size())
-            return false;
-        const std::uint64_t *heap =
-            w_ + heapAt_ + w_[at + kKeyWords + 1];
-        // Verify the exact per-stage identity before decoding — a
-        // hashed-tag collision must read as a miss, same as L1.
-        for (std::uint64_t st = 0; st < stageCount; ++st) {
-            const std::uint64_t *sw = heap + st * kSegmentStageWords;
-            if (!std::equal(stages[st].sig.begin(),
-                            stages[st].sig.end(), sw) ||
-                sw[LayerSignature::kWords] != stages[st].cols)
-                return false;
-        }
-        out->id.resize(std::size_t(stageCount));
-        out->mappings.resize(std::size_t(stageCount));
-        out->results.resize(std::size_t(stageCount));
-        for (std::uint64_t st = 0; st < stageCount; ++st) {
-            const std::uint64_t *sw = heap + st * kSegmentStageWords;
-            std::copy(sw, sw + LayerSignature::kWords,
-                      out->id[st].sig.begin());
-            sw += LayerSignature::kWords;
-            out->id[st].cols = *sw++;
-            out->mappings[st].dataflow = DataflowTag(sw[0]);
-            out->mappings[st].tm = Int(sw[1]);
-            out->mappings[st].tn = Int(sw[2]);
-            out->mappings[st].tk = Int(sw[3]);
-            out->results[st] = readResult(sw + 4);
-        }
-        out->cost = readSegmentCost(
-            heap + stageCount * kSegmentStageWords);
-        return true;
-    }
+    const CacheImage &image() const { return image_; }
 
   private:
     SharedSnapshot() = default;
 
-    static constexpr std::uint64_t kNone = ~0ull;
-
-    /**
-     * Open-addressed probe: returns the word offset of the matching
-     * entry, or kNone. Linear probing over the power-of-two slot
-     * table; a zero slot ends the chain (load factor <= 1/2
-     * guarantees empties exist).
-     */
-    std::uint64_t probe(std::uint64_t slotsAt, std::uint64_t slots,
-                        std::uint64_t entriesAt,
-                        std::uint64_t entryWords,
-                        const CacheKey &key) const
-    {
-        if (slots == 0)
-            return kNone;
-        const std::uint64_t mask = slots - 1;
-        std::uint64_t idx = key.hashValue & mask;
-        for (std::uint64_t walked = 0; walked <= mask; ++walked) {
-            const std::uint64_t slot = w_[slotsAt + idx];
-            if (slot == 0)
-                return kNone;
-            const std::uint64_t at =
-                entriesAt + (slot - 1) * entryWords;
-            if (std::equal(key.words.begin(), key.words.end(),
-                           w_ + at))
-                return at;
-            idx = (idx + 1) & mask;
-        }
-        return kNone;
-    }
-
-    /** Full structural + checksum validation, run once at map(). */
-    bool validate()
-    {
-        if (w_[kHdrMagic] != kCacheFileMagic ||
-            w_[kHdrVersion] != kCacheFileVersion ||
-            w_[kHdrSchema] != CostCache::schemaHash())
-            return false;
-        const char *b = static_cast<const char *>(base_);
-        if (w_[kHdrHeaderCrc] !=
-            crc32Of(b, (kHeaderWords - 1) * 8))
-            return false;
-        const std::uint64_t totalWords = w_[kHdrTotalWords];
-        if (totalWords * 8 != bytes_)
-            return false;
-        const std::uint64_t sSlots = w_[kHdrScalarSlots];
-        const std::uint64_t sCount = w_[kHdrScalarCount];
-        const std::uint64_t fSlots = w_[kHdrFrontSlots];
-        const std::uint64_t fCount = w_[kHdrFrontCount];
-        const std::uint64_t gSlots = w_[kHdrSegSlots];
-        const std::uint64_t gCount = w_[kHdrSegCount];
-        const std::uint64_t heapWords = w_[kHdrHeapWords];
-        // Region layout, overflow-safe: counts were written by us,
-        // but a corrupt header must fail cleanly, so re-derive the
-        // total from bounded pieces and compare.
-        const std::uint64_t maxWords = bytes_ / 8;
-        auto fits = [&](std::uint64_t n, std::uint64_t stride) {
-            return stride == 0 || n <= maxWords / stride;
-        };
-        if (!fits(sCount, kScalarEntryWords) ||
-            !fits(fCount, kFrontEntryWords) ||
-            !fits(gCount, kSegEntryWords) || sSlots > maxWords ||
-            fSlots > maxWords || gSlots > maxWords ||
-            heapWords > maxWords)
-            return false;
-        if (sSlots != slotCountFor(sCount) ||
-            fSlots != slotCountFor(fCount) ||
-            gSlots != slotCountFor(gCount))
-            return false;
-        scalarSlotsAt_ = kHeaderWords;
-        scalarEntriesAt_ = scalarSlotsAt_ + sSlots;
-        frontSlotsAt_ =
-            scalarEntriesAt_ + sCount * kScalarEntryWords;
-        frontEntriesAt_ = frontSlotsAt_ + fSlots;
-        segSlotsAt_ = frontEntriesAt_ + fCount * kFrontEntryWords;
-        segEntriesAt_ = segSlotsAt_ + gSlots;
-        heapAt_ = segEntriesAt_ + gCount * kSegEntryWords;
-        if (heapAt_ + heapWords != totalWords)
-            return false;
-        if (w_[kHdrBodyCrc] !=
-            crc32Of(b + kHeaderWords * 8,
-                    bytes_ - kHeaderWords * 8))
-            return false;
-        // Slot values index entries; heap references stay in range.
-        auto slotsOk = [&](std::uint64_t at, std::uint64_t n,
-                           std::uint64_t count) {
-            for (std::uint64_t i = 0; i < n; ++i)
-                if (w_[at + i] > count)
-                    return false;
-            return true;
-        };
-        if (!slotsOk(scalarSlotsAt_, sSlots, sCount) ||
-            !slotsOk(frontSlotsAt_, fSlots, fCount) ||
-            !slotsOk(segSlotsAt_, gSlots, gCount))
-            return false;
-        for (std::uint64_t e = 0; e < fCount; ++e) {
-            const std::uint64_t at =
-                frontEntriesAt_ + e * kFrontEntryWords;
-            const std::uint64_t points = w_[at + kKeyWords];
-            const std::uint64_t off = w_[at + kKeyWords + 1];
-            // save() never writes an empty frontier; reject it here
-            // rather than panicking mid-sweep later.
-            if (points == 0 ||
-                points > heapWords / kFrontierPointWords ||
-                off > heapWords - points * kFrontierPointWords)
-                return false;
-        }
-        for (std::uint64_t e = 0; e < gCount; ++e) {
-            const std::uint64_t at =
-                segEntriesAt_ + e * kSegEntryWords;
-            const std::uint64_t stages = w_[at + kKeyWords];
-            const std::uint64_t off = w_[at + kKeyWords + 1];
-            // A segment record always has >= 2 stages.
-            if (stages < 2 ||
-                stages > (heapWords - kSegmentCostWords) /
-                             kSegmentStageWords ||
-                off > heapWords - kSegmentCostWords -
-                          stages * kSegmentStageWords)
-                return false;
-        }
-        return true;
-    }
-
     void *base_ = nullptr;
     std::size_t bytes_ = 0;
-    const std::uint64_t *w_ = nullptr;
-    std::uint64_t scalarSlotsAt_ = 0, scalarEntriesAt_ = 0;
-    std::uint64_t frontSlotsAt_ = 0, frontEntriesAt_ = 0;
-    std::uint64_t segSlotsAt_ = 0, segEntriesAt_ = 0;
-    std::uint64_t heapAt_ = 0;
+    CacheImage image_;
 };
 
 namespace
@@ -693,16 +849,13 @@ namespace
 
 /**
  * Thread-local L0: direct-mapped open-addressing tables shared by
- * every CostCache a thread talks to (one table for scalar entries,
- * one for frontiers). Slots are tagged with the owning cache's
- * process-unique id and clear()-epoch; a mismatched tag is simply a
- * miss, so stale entries (other caches, cleared caches, reused
- * addresses — ids are never reused) cannot leak. Power-of-two sizes
- * so the index is a mask of the precomputed key hash.
+ * every CostCache a thread talks to (one table per kind with an L0).
+ * Slots are tagged with the owning cache's process-unique id and
+ * clear()-epoch; a mismatched tag is simply a miss, so stale entries
+ * (other caches, cleared caches, reused addresses — ids are never
+ * reused) cannot leak. Power-of-two sizes so the index is a mask of
+ * the precomputed key hash.
  */
-constexpr std::size_t kL0Slots = 4096;
-constexpr std::size_t kL0FrontSlots = 512;
-
 template <class V>
 struct L0Slot
 {
@@ -711,11 +864,23 @@ struct L0Slot
     std::uint64_t epoch = 0;
     CacheKey key;
     V val;
+
+    void fill(std::uint64_t o, std::uint64_t e, const CacheKey &k,
+              const V &v)
+    {
+        used = true;
+        owner = o;
+        epoch = e;
+        key = k;
+        val = v;
+    }
 };
 
 template <class V, std::size_t N>
 struct L0Table
 {
+    static_assert(N != 0 && (N & (N - 1)) == 0,
+                  "L0 size must be a power of two");
     std::vector<L0Slot<V>> slots{N};
 
     L0Slot<V> &slotFor(const CacheKey &key)
@@ -724,18 +889,11 @@ struct L0Table
     }
 };
 
-L0Table<LayerResult, kL0Slots> &
+template <class K>
+L0Table<typename K::Value, K::kL0Slots> &
 tlsL0()
 {
-    thread_local L0Table<LayerResult, kL0Slots> table;
-    return table;
-}
-
-L0Table<std::vector<FrontierPoint>, kL0FrontSlots> &
-tlsFrontL0()
-{
-    thread_local L0Table<std::vector<FrontierPoint>, kL0FrontSlots>
-        table;
+    thread_local L0Table<typename K::Value, K::kL0Slots> table;
     return table;
 }
 
@@ -788,6 +946,7 @@ CostCache::overCapacity() const
             entryCount_.load(std::memory_order_relaxed) > me);
 }
 
+
 void
 CostCache::enforceCapacity()
 {
@@ -818,16 +977,22 @@ CostCache::enforceCapacity()
                     targetEntries);
     };
 
-    // Rank every resident entry by (kind priority, last use):
-    // scalars first — they are cheap to rebuild (one model eval)
-    // and dominate the byte budget — then frontiers (each one
-    // reconstructs from a whole per-layer sweep), then segment
-    // records (whole per-stage searches). LRU within each kind.
+    // Rank every resident entry by (kind rank, last use): scalars
+    // first — they are cheap to rebuild (one model eval) and dominate
+    // the byte budget — then frontiers (each one reconstructs from a
+    // whole per-layer sweep), then segment records (whole per-stage
+    // searches). LRU within each kind. `evict` erases the entry from
+    // its kind's table unless it was touched since this snapshot (a
+    // re-used entry is hot again — skip it this batch) and returns
+    // the bytes freed.
+    using Evict = std::uint64_t (*)(Shard &, const CacheKey &,
+                                    std::uint64_t lastUse);
     struct Cand
     {
-        std::uint8_t kind; // 0 scalar, 1 frontier, 2 segment.
+        std::uint8_t rank;
         std::uint64_t lastUse;
         std::uint32_t shard;
+        Evict evict;
         CacheKey key;
     };
     std::vector<Cand> cands;
@@ -836,19 +1001,26 @@ CostCache::enforceCapacity()
     for (std::uint32_t si = 0; si < shards_.size(); ++si) {
         Shard &s = *shards_[si];
         std::lock_guard<std::mutex> lk(s.mu);
-        for (const auto &kv : s.map)
-            cands.push_back(
-                {0, kv.second.lastUse, si, kv.first});
-        for (const auto &kv : s.fronts)
-            cands.push_back(
-                {1, kv.second.lastUse, si, kv.first});
-        for (const auto &kv : s.segs)
-            cands.push_back(
-                {2, kv.second.lastUse, si, kv.first});
+        forEachKind([&](auto kind) {
+            using K = decltype(kind);
+            const Evict evict = [](Shard &sh, const CacheKey &key,
+                                   std::uint64_t lastUse) {
+                auto &table = sh.*K::kTable;
+                auto it = table.find(key);
+                if (it == table.end() || it->second.lastUse != lastUse)
+                    return std::uint64_t(0);
+                const std::uint64_t freed = it->second.bytes;
+                table.erase(it);
+                return freed;
+            };
+            for (const auto &kv : s.*K::kTable)
+                cands.push_back(
+                    {K::kRank, kv.second.lastUse, si, evict, kv.first});
+        });
     }
     std::sort(cands.begin(), cands.end(),
               [](const Cand &a, const Cand &b) {
-                  return a.kind != b.kind ? a.kind < b.kind
+                  return a.rank != b.rank ? a.rank < b.rank
                                           : a.lastUse < b.lastUse;
               });
 
@@ -859,30 +1031,7 @@ CostCache::enforceCapacity()
         std::uint64_t freed = 0;
         {
             std::lock_guard<std::mutex> lk(s.mu);
-            // Re-check the recency stamp: an entry touched since
-            // the snapshot above is hot again — skip it this batch.
-            if (c.kind == 0) {
-                auto it = s.map.find(c.key);
-                if (it != s.map.end() &&
-                    it->second.lastUse == c.lastUse) {
-                    freed = it->second.bytes;
-                    s.map.erase(it);
-                }
-            } else if (c.kind == 1) {
-                auto it = s.fronts.find(c.key);
-                if (it != s.fronts.end() &&
-                    it->second.lastUse == c.lastUse) {
-                    freed = it->second.bytes;
-                    s.fronts.erase(it);
-                }
-            } else {
-                auto it = s.segs.find(c.key);
-                if (it != s.segs.end() &&
-                    it->second.lastUse == c.lastUse) {
-                    freed = it->second.bytes;
-                    s.segs.erase(it);
-                }
-            }
+            freed = c.evict(s, c.key, c.lastUse);
         }
         if (freed != 0) {
             residentBytes_.fetch_sub(freed,
@@ -917,11 +1066,11 @@ CostCache::mapShared(bool countRemap)
     if (!snap)
         return false;
     std::lock_guard<std::mutex> lk(sharedMu_);
-    if (shared_ && shared_->generation() == snap->generation())
+    if (shared_ && shared_->image().generation() == snap->image().generation())
         return false; // Raced with another refresher; keep theirs.
     const bool hadPrevious = shared_ != nullptr;
     shared_ = std::move(snap);
-    sharedGen_.store(shared_->generation(),
+    sharedGen_.store(shared_->image().generation(),
                      std::memory_order_relaxed);
     if (countRemap && hadPrevious)
         remaps_.fetch_add(1, std::memory_order_relaxed);
@@ -962,13 +1111,8 @@ CostCache::refreshShared()
     std::uint64_t hdr[kHeaderWords] = {};
     const ssize_t n = ::pread(fd, hdr, sizeof(hdr), 0);
     ::close(fd);
-    if (n != ssize_t(sizeof(hdr)) ||
-        hdr[kHdrMagic] != kCacheFileMagic ||
-        hdr[kHdrVersion] != kCacheFileVersion ||
-        hdr[kHdrSchema] != schemaHash() ||
-        hdr[kHdrHeaderCrc] !=
-            crc32Of(reinterpret_cast<const char *>(hdr),
-                    (kHeaderWords - 1) * 8))
+    if (n != ssize_t(sizeof(hdr)) || !headerIntact(hdr) ||
+        hdr[kHdrSchema] != schemaHash())
         return false;
     if (hdr[kHdrGeneration] == current)
         return false;
@@ -983,146 +1127,60 @@ CostCache::sharedGeneration() const
 
 // ---- lookups / inserts ----------------------------------------------
 
+template <class K>
 bool
-CostCache::lookup(const CacheKey &key, LayerResult *out)
+CostCache::lookupIn(const CacheKey &key, const typename K::Check &check,
+                    typename K::Value *out)
 {
     Shard &s = shardFor(key);
     {
         std::lock_guard<std::mutex> lk(s.mu);
-        auto it = s.map.find(key);
-        if (it != s.map.end()) {
+        auto &table = s.*K::kTable;
+        auto it = table.find(key);
+        if (it != table.end() && K::matches(it->second.val, check)) {
             it->second.lastUse = tick();
-            bumpStat(hits_, &StatsContext::cacheHits);
+            bumpStat(this->*K::kHits, K::kCtxHits);
             *out = it->second.val;
             return true;
         }
     }
     // L1 miss: probe the mapped snapshot (no locks held — the
     // shared_ptr keeps the image alive). A shared hit counts as a
-    // hit AND a sharedHit; it is NOT copied into L1, so the
+    // hit AND a shared hit; it is NOT copied into L1, so the
     // snapshot's pages stay shared across processes (callers going
-    // through lookupFast still promote into their L0).
+    // through the *Fast lookups still promote into their L0).
     if (std::shared_ptr<const SharedSnapshot> snap =
             sharedSnapshot()) {
-        if (snap->lookupScalar(key, out)) {
-            bumpStat(hits_, &StatsContext::cacheHits);
-            bumpStat(sharedHits_, &StatsContext::sharedHits);
+        if (snap->image().lookup<K>(key, check, out)) {
+            bumpStat(this->*K::kHits, K::kCtxHits);
+            bumpStat(this->*K::kSharedHits, K::kCtxSharedHits);
             return true;
         }
     }
-    bumpStat(misses_, &StatsContext::cacheMisses);
+    bumpStat(this->*K::kMisses, K::kCtxMisses);
     return false;
 }
 
+template <class K>
 void
-CostCache::insert(const CacheKey &key, const LayerResult &result)
+CostCache::insertIn(const CacheKey &key, const typename K::Value &val)
 {
     Shard &s = shardFor(key);
     bool created;
+    const std::uint64_t bytes = entryBytes<K>(val);
     {
         std::lock_guard<std::mutex> lk(s.mu);
-        auto r = s.map.emplace(key, Entry<LayerResult>{});
+        auto r = (s.*K::kTable)
+                     .emplace(key, Entry<typename K::Value>{});
         created = r.second;
         if (created) {
-            r.first->second.val = result;
-            r.first->second.bytes = scalarEntryBytes();
-            r.first->second.lastUse = tick();
-        }
-    }
-    if (created) {
-        inserts_.fetch_add(1, std::memory_order_relaxed);
-        residentBytes_.fetch_add(scalarEntryBytes(),
-                                 std::memory_order_relaxed);
-        entryCount_.fetch_add(1, std::memory_order_relaxed);
-        if (overCapacity())
-            enforceCapacity();
-    }
-}
-
-bool
-CostCache::lookupFast(const CacheKey &key, LayerResult *out)
-{
-    const std::uint64_t epoch = epoch_.load(std::memory_order_relaxed);
-    auto &slot = tlsL0().slotFor(key);
-    if (slot.used && slot.owner == id_ && slot.epoch == epoch &&
-        slot.key == key) {
-        bumpStat(l0Hits_, &StatsContext::l0Hits);
-        *out = slot.val;
-        return true;
-    }
-    bumpStat(l0Misses_, &StatsContext::l0Misses);
-    if (!lookup(key, out))
-        return false;
-    // Promote the L1 (or shared-tier) hit so this worker's next
-    // lookup is lock-free.
-    slot.used = true;
-    slot.owner = id_;
-    slot.epoch = epoch;
-    slot.key = key;
-    slot.val = *out;
-    return true;
-}
-
-void
-CostCache::insertFast(const CacheKey &key, const LayerResult &result)
-{
-    insert(key, result);
-    auto &slot = tlsL0().slotFor(key);
-    slot.used = true;
-    slot.owner = id_;
-    slot.epoch = epoch_.load(std::memory_order_relaxed);
-    slot.key = key;
-    slot.val = result;
-}
-
-bool
-CostCache::lookupFrontier(const CacheKey &key,
-                          std::vector<FrontierPoint> *out)
-{
-    Shard &s = shardFor(key);
-    {
-        std::lock_guard<std::mutex> lk(s.mu);
-        auto it = s.fronts.find(key);
-        if (it != s.fronts.end()) {
-            it->second.lastUse = tick();
-            bumpStat(frontHits_, &StatsContext::frontHits);
-            *out = it->second.val;
-            return true;
-        }
-    }
-    if (std::shared_ptr<const SharedSnapshot> snap =
-            sharedSnapshot()) {
-        if (snap->lookupFrontier(key, out)) {
-            bumpStat(frontHits_, &StatsContext::frontHits);
-            bumpStat(sharedFrontHits_,
-                     &StatsContext::sharedFrontHits);
-            return true;
-        }
-    }
-    bumpStat(frontMisses_, &StatsContext::frontMisses);
-    return false;
-}
-
-void
-CostCache::insertFrontier(const CacheKey &key,
-                          const std::vector<FrontierPoint> &points)
-{
-    Shard &s = shardFor(key);
-    bool created;
-    const std::uint64_t bytes = frontierEntryBytes(points.size());
-    {
-        std::lock_guard<std::mutex> lk(s.mu);
-        auto r =
-            s.fronts.emplace(key, Entry<std::vector<FrontierPoint>>{});
-        created = r.second;
-        if (created) {
-            r.first->second.val = points;
+            r.first->second.val = val;
             r.first->second.bytes = bytes;
             r.first->second.lastUse = tick();
         }
     }
     if (created) {
-        frontInserts_.fetch_add(1, std::memory_order_relaxed);
+        (this->*K::kInserts).fetch_add(1, std::memory_order_relaxed);
         residentBytes_.fetch_add(bytes, std::memory_order_relaxed);
         entryCount_.fetch_add(1, std::memory_order_relaxed);
         if (overCapacity())
@@ -1130,39 +1188,100 @@ CostCache::insertFrontier(const CacheKey &key,
     }
 }
 
+template <class K>
+bool
+CostCache::lookupFastIn(const CacheKey &key, typename K::Value *out)
+{
+    const std::uint64_t epoch = epoch_.load(std::memory_order_relaxed);
+    auto &slot = tlsL0<K>().slotFor(key);
+    if (slot.used && slot.owner == id_ && slot.epoch == epoch &&
+        slot.key == key) {
+        bumpStat(this->*K::kL0Hits, K::kCtxL0Hits);
+        *out = slot.val;
+        return true;
+    }
+    if constexpr (K::kL0Misses != nullptr)
+        bumpStat(this->*K::kL0Misses, K::kCtxL0Misses);
+    if (!lookupIn<K>(key, NoCheck{}, out))
+        return false;
+    // Promote the L1 (or shared-tier) hit so this worker's next
+    // lookup is lock-free.
+    slot.fill(id_, epoch, key, *out);
+    return true;
+}
+
+template <class K>
+void
+CostCache::insertFastIn(const CacheKey &key,
+                        const typename K::Value &val)
+{
+    insertIn<K>(key, val);
+    tlsL0<K>().slotFor(key).fill(
+        id_, epoch_.load(std::memory_order_relaxed), key, val);
+}
+
+template <class K>
+std::size_t
+CostCache::countIn() const
+{
+    std::size_t n = 0;
+    for (const auto &s : shards_) {
+        std::lock_guard<std::mutex> lk(s->mu);
+        n += ((*s).*K::kTable).size();
+    }
+    return n;
+}
+
+bool
+CostCache::lookup(const CacheKey &key, LayerResult *out)
+{
+    return lookupIn<ScalarKind>(key, NoCheck{}, out);
+}
+
+void
+CostCache::insert(const CacheKey &key, const LayerResult &result)
+{
+    insertIn<ScalarKind>(key, result);
+}
+
+bool
+CostCache::lookupFast(const CacheKey &key, LayerResult *out)
+{
+    return lookupFastIn<ScalarKind>(key, out);
+}
+
+void
+CostCache::insertFast(const CacheKey &key, const LayerResult &result)
+{
+    insertFastIn<ScalarKind>(key, result);
+}
+
+bool
+CostCache::lookupFrontier(const CacheKey &key,
+                          std::vector<FrontierPoint> *out)
+{
+    return lookupIn<FrontierKind>(key, NoCheck{}, out);
+}
+
+void
+CostCache::insertFrontier(const CacheKey &key,
+                          const std::vector<FrontierPoint> &points)
+{
+    insertIn<FrontierKind>(key, points);
+}
+
 bool
 CostCache::lookupFrontierFast(const CacheKey &key,
                               std::vector<FrontierPoint> *out)
 {
-    const std::uint64_t epoch = epoch_.load(std::memory_order_relaxed);
-    auto &slot = tlsFrontL0().slotFor(key);
-    if (slot.used && slot.owner == id_ && slot.epoch == epoch &&
-        slot.key == key) {
-        bumpStat(frontHits_, &StatsContext::frontHits);
-        *out = slot.val;
-        return true;
-    }
-    if (!lookupFrontier(key, out))
-        return false;
-    slot.used = true;
-    slot.owner = id_;
-    slot.epoch = epoch;
-    slot.key = key;
-    slot.val = *out;
-    return true;
+    return lookupFastIn<FrontierKind>(key, out);
 }
 
 void
 CostCache::insertFrontierFast(const CacheKey &key,
                               const std::vector<FrontierPoint> &points)
 {
-    insertFrontier(key, points);
-    auto &slot = tlsFrontL0().slotFor(key);
-    slot.used = true;
-    slot.owner = id_;
-    slot.epoch = epoch_.load(std::memory_order_relaxed);
-    slot.key = key;
-    slot.val = points;
+    insertFastIn<FrontierKind>(key, points);
 }
 
 bool
@@ -1170,27 +1289,7 @@ CostCache::lookupSegment(const CacheKey &key,
                          const std::vector<SegmentKeyId> &stages,
                          SegmentRecord *out)
 {
-    Shard &s = shardFor(key);
-    {
-        std::lock_guard<std::mutex> lk(s.mu);
-        auto it = s.segs.find(key);
-        if (it != s.segs.end() && it->second.val.id == stages) {
-            it->second.lastUse = tick();
-            bumpStat(segHits_, &StatsContext::segHits);
-            *out = it->second.val;
-            return true;
-        }
-    }
-    if (std::shared_ptr<const SharedSnapshot> snap =
-            sharedSnapshot()) {
-        if (snap->lookupSegment(key, stages, out)) {
-            bumpStat(segHits_, &StatsContext::segHits);
-            bumpStat(sharedSegHits_, &StatsContext::sharedSegHits);
-            return true;
-        }
-    }
-    bumpStat(segMisses_, &StatsContext::segMisses);
-    return false;
+    return lookupIn<SegmentKind>(key, stages, out);
 }
 
 void
@@ -1199,59 +1298,25 @@ CostCache::insertSegment(const CacheKey &key, const SegmentRecord &rec)
     if (rec.id.size() != rec.mappings.size() ||
         rec.id.size() != rec.results.size())
         panic("insertSegment: ragged segment record");
-    Shard &s = shardFor(key);
-    bool created;
-    const std::uint64_t bytes = segmentEntryBytes(rec.id.size());
-    {
-        std::lock_guard<std::mutex> lk(s.mu);
-        auto r = s.segs.emplace(key, Entry<SegmentRecord>{});
-        created = r.second;
-        if (created) {
-            r.first->second.val = rec;
-            r.first->second.bytes = bytes;
-            r.first->second.lastUse = tick();
-        }
-    }
-    if (created) {
-        segInserts_.fetch_add(1, std::memory_order_relaxed);
-        residentBytes_.fetch_add(bytes, std::memory_order_relaxed);
-        entryCount_.fetch_add(1, std::memory_order_relaxed);
-        if (overCapacity())
-            enforceCapacity();
-    }
+    insertIn<SegmentKind>(key, rec);
 }
 
 std::size_t
 CostCache::size() const
 {
-    std::size_t n = 0;
-    for (const auto &s : shards_) {
-        std::lock_guard<std::mutex> lk(s->mu);
-        n += s->map.size();
-    }
-    return n;
+    return countIn<ScalarKind>();
 }
 
 std::size_t
 CostCache::frontierCount() const
 {
-    std::size_t n = 0;
-    for (const auto &s : shards_) {
-        std::lock_guard<std::mutex> lk(s->mu);
-        n += s->fronts.size();
-    }
-    return n;
+    return countIn<FrontierKind>();
 }
 
 std::size_t
 CostCache::segmentCount() const
 {
-    std::size_t n = 0;
-    for (const auto &s : shards_) {
-        std::lock_guard<std::mutex> lk(s->mu);
-        n += s->segs.size();
-    }
-    return n;
+    return countIn<SegmentKind>();
 }
 
 std::uint64_t
@@ -1330,12 +1395,7 @@ generationFor(const std::string &path, const char *body,
     bool same = false;
     std::uint64_t gen = 0;
     const ssize_t n = ::pread(fd, hdr, sizeof(hdr), 0);
-    if (n == ssize_t(sizeof(hdr)) &&
-        hdr[kHdrMagic] == kCacheFileMagic &&
-        hdr[kHdrVersion] == kCacheFileVersion &&
-        hdr[kHdrHeaderCrc] ==
-            crc32Of(reinterpret_cast<const char *>(hdr),
-                    (kHeaderWords - 1) * 8)) {
+    if (n == ssize_t(sizeof(hdr)) && headerIntact(hdr)) {
         gen = hdr[kHdrGeneration];
         if (hdr[kHdrTotalWords] * 8 ==
             kHeaderWords * 8 + bodyBytes) {
@@ -1372,131 +1432,84 @@ buildSlotTable(const std::vector<std::uint64_t> &hashes)
 
 } // namespace
 
+
 bool
 CostCache::save(const std::string &path) const
 {
     LEGO_TRACE_SPAN_ARG("cache.save", "cache", "entries", size());
     // Snapshot under the shard locks first so the header counts are
     // exact even if writers race the save.
-    std::vector<std::pair<CacheKey, LayerResult>> entries;
-    std::vector<std::pair<CacheKey, std::vector<FrontierPoint>>>
-        frontEntries;
-    std::vector<std::pair<CacheKey, SegmentRecord>> segEntries;
+    std::tuple<Records<ScalarKind>, Records<FrontierKind>,
+               Records<SegmentKind>>
+        recs;
     for (const auto &s : shards_) {
         std::lock_guard<std::mutex> lk(s->mu);
-        for (const auto &kv : s->map)
-            entries.emplace_back(kv.first, kv.second.val);
-        for (const auto &kv : s->fronts)
-            frontEntries.emplace_back(kv.first, kv.second.val);
-        for (const auto &kv : s->segs)
-            segEntries.emplace_back(kv.first, kv.second.val);
+        forEachKind([&](auto kind) {
+            using K = decltype(kind);
+            for (const auto &kv : (*s).*K::kTable)
+                std::get<K::kRank>(recs).emplace_back(kv.first,
+                                                      kv.second.val);
+        });
     }
 
-    // Serialize the whole mmap-able image in memory: header, three
-    // (slot table, fixed-stride entry array) pairs, then the heap
-    // holding frontier point lists and segment stage/cost blocks.
-    // The CRCs are patched into the header last.
-    std::vector<std::uint64_t> scalarHashes, frontHashes, segHashes;
-    scalarHashes.reserve(entries.size());
-    for (const auto &kv : entries)
-        scalarHashes.push_back(kv.first.hashValue);
-    frontHashes.reserve(frontEntries.size());
-    for (const auto &kv : frontEntries)
-        frontHashes.push_back(kv.first.hashValue);
-    segHashes.reserve(segEntries.size());
-    for (const auto &kv : segEntries)
-        segHashes.push_back(kv.first.hashValue);
-    const std::vector<std::uint64_t> scalarSlots =
-        buildSlotTable(scalarHashes);
-    const std::vector<std::uint64_t> frontSlots =
-        buildSlotTable(frontHashes);
-    const std::vector<std::uint64_t> segSlots =
-        buildSlotTable(segHashes);
-
+    // Serialize the whole mmap-able image in memory: header, one
+    // (slot table, fixed-stride entry array) pair per kind, then the
+    // heap holding the heap kinds' payloads in kind order. The
+    // generation and CRCs are patched into the header last.
+    std::array<std::vector<std::uint64_t>, 3> slots;
     std::uint64_t heapWords = 0;
-    for (const auto &kv : frontEntries)
-        heapWords += kv.second.size() * kFrontierPointWords;
-    for (const auto &kv : segEntries)
-        heapWords += kv.second.id.size() * kSegmentStageWords +
-                     kSegmentCostWords;
-    const std::uint64_t totalWords =
-        kHeaderWords + scalarSlots.size() +
-        entries.size() * kScalarEntryWords + frontSlots.size() +
-        frontEntries.size() * kFrontEntryWords + segSlots.size() +
-        segEntries.size() * kSegEntryWords + heapWords;
+    std::uint64_t totalWords = kHeaderWords;
+    forEachKind([&](auto kind) {
+        using K = decltype(kind);
+        const Records<K> &r = std::get<K::kRank>(recs);
+        std::vector<std::uint64_t> hashes;
+        hashes.reserve(r.size());
+        for (const auto &kv : r) {
+            hashes.push_back(kv.first.hashValue);
+            heapWords += heapWordsOf<K>(K::items(kv.second));
+        }
+        slots[K::kRank] = buildSlotTable(hashes);
+        totalWords += slots[K::kRank].size() + r.size() * K::kEntryWords;
+    });
+    totalWords += heapWords;
 
     Blob out;
     out.bytes.reserve(std::size_t(totalWords) * 8);
-    out.word(kCacheFileMagic);
-    out.word(kCacheFileVersion);
-    out.word(schemaHash());
-    out.word(0); // Generation, patched below (needs the body bytes).
-    out.word(std::uint64_t(scalarSlots.size()));
-    out.word(std::uint64_t(entries.size()));
-    out.word(std::uint64_t(frontSlots.size()));
-    out.word(std::uint64_t(frontEntries.size()));
-    out.word(std::uint64_t(segSlots.size()));
-    out.word(std::uint64_t(segEntries.size()));
-    out.word(heapWords);
-    out.word(totalWords);
-    out.word(0); // Reserved.
-    out.word(0); // Reserved.
-    out.word(0); // Body CRC, patched below.
-    out.word(0); // Header CRC, patched below.
-
-    for (std::uint64_t w : scalarSlots)
-        out.word(w);
-    for (const auto &kv : entries) {
-        for (std::uint64_t w : kv.first.words)
-            out.word(w);
-        putResult(out, kv.second);
-    }
-    // Heap offsets are assigned in entry order: all frontier point
-    // lists first, then segment stage/cost blocks.
+    for (std::size_t i = 0; i < kHeaderWords; ++i)
+        out.word(0); // Reserved words stay 0.
+    out.patchWord(kHdrMagic, kCacheFileMagic);
+    out.patchWord(kHdrVersion, kCacheFileVersion);
+    out.patchWord(kHdrSchema, schemaHash());
+    out.patchWord(kHdrHeapWords, heapWords);
+    out.patchWord(kHdrTotalWords, totalWords);
+    // Heap offsets are assigned in entry order, kind by kind.
     std::uint64_t heapAt = 0;
-    for (std::uint64_t w : frontSlots)
-        out.word(w);
-    for (const auto &kv : frontEntries) {
-        for (std::uint64_t w : kv.first.words)
+    forEachKind([&](auto kind) {
+        using K = decltype(kind);
+        const Records<K> &r = std::get<K::kRank>(recs);
+        out.patchWord(K::kHdrSlots, slots[K::kRank].size());
+        out.patchWord(K::kHdrCount, r.size());
+        for (std::uint64_t w : slots[K::kRank])
             out.word(w);
-        out.word(std::uint64_t(kv.second.size()));
-        out.word(heapAt);
-        heapAt += kv.second.size() * kFrontierPointWords;
-    }
-    for (std::uint64_t w : segSlots)
-        out.word(w);
-    for (const auto &kv : segEntries) {
-        for (std::uint64_t w : kv.first.words)
-            out.word(w);
-        out.word(std::uint64_t(kv.second.id.size()));
-        out.word(heapAt);
-        heapAt += kv.second.id.size() * kSegmentStageWords +
-                  kSegmentCostWords;
-    }
-    for (const auto &kv : frontEntries) {
-        for (const FrontierPoint &p : kv.second) {
-            out.word(std::uint64_t(p.mapping.dataflow));
-            out.word(std::uint64_t(p.mapping.tm));
-            out.word(std::uint64_t(p.mapping.tn));
-            out.word(std::uint64_t(p.mapping.tk));
-            putResult(out, p.result);
-            out.word(p.seq);
-        }
-    }
-    for (const auto &kv : segEntries) {
-        const SegmentRecord &rec = kv.second;
-        for (std::size_t st = 0; st < rec.id.size(); ++st) {
-            for (std::uint64_t w : rec.id[st].sig)
+        for (const auto &kv : r) {
+            for (std::uint64_t w : kv.first.words)
                 out.word(w);
-            out.word(rec.id[st].cols);
-            out.word(std::uint64_t(rec.mappings[st].dataflow));
-            out.word(std::uint64_t(rec.mappings[st].tm));
-            out.word(std::uint64_t(rec.mappings[st].tn));
-            out.word(std::uint64_t(rec.mappings[st].tk));
-            putResult(out, rec.results[st]);
+            if constexpr (K::kItemWords == 0) {
+                K::put(out, kv.second);
+            } else {
+                const std::uint64_t items = K::items(kv.second);
+                out.word(items);
+                out.word(heapAt);
+                heapAt += heapWordsOf<K>(items);
+            }
         }
-        putSegmentCost(out, rec.cost);
-    }
+    });
+    forEachKind([&](auto kind) {
+        using K = decltype(kind);
+        if constexpr (K::kItemWords != 0)
+            for (const auto &kv : std::get<K::kRank>(recs))
+                K::put(out, kv.second);
+    });
     if (out.bytes.size() != std::size_t(totalWords) * 8)
         panic("cache save: serialized image size diverged from the "
               "header layout");
@@ -1555,6 +1568,7 @@ CostCache::save(const std::string &path) const
     return true;
 }
 
+
 CacheLoadStatus
 CostCache::loadEx(const std::string &path)
 {
@@ -1564,175 +1578,29 @@ CostCache::loadEx(const std::string &path)
         return CacheLoadStatus::Missing;
     const std::streamoff fileBytes = in.tellg();
     in.seekg(0);
-    std::string bytes(std::size_t(fileBytes), '\0');
-    if (fileBytes > 0 && !in.read(&bytes[0], fileBytes))
+    std::vector<std::uint64_t> words((std::size_t(fileBytes) + 7) / 8);
+    if (fileBytes > 0 &&
+        !in.read(reinterpret_cast<char *>(words.data()), fileBytes))
         return CacheLoadStatus::Corrupt;
     if (obs::Failpoints::instance().fire("cache.load.corrupt"))
         return CacheLoadStatus::Corrupt;
 
-    if (bytes.size() < kHeaderWords * 8 || bytes.size() % 8 != 0)
-        return CacheLoadStatus::Corrupt;
-    std::uint64_t hdr[kHeaderWords];
-    std::memcpy(hdr, bytes.data(), sizeof(hdr));
-    if (hdr[kHdrMagic] != kCacheFileMagic)
-        return CacheLoadStatus::Corrupt;
-    // A wrong version or schema on an intact header is a file from
-    // another build — a DELIBERATE cold start, not corruption (so
-    // loadOrQuarantine won't destroy a downgrade's still-good file).
-    // v4-and-earlier files land here: their word 1 is the old
-    // version stamp.
-    if (hdr[kHdrVersion] != kCacheFileVersion)
-        return CacheLoadStatus::Stale;
-    if (hdr[kHdrSchema] != schemaHash())
-        return CacheLoadStatus::Stale;
-
-    // Everything past the version/schema gate is integrity: lean on
-    // SharedSnapshot::map's single validation path (CRCs, counts,
-    // offsets, per-entry bounds) by writing the bytes... no — the
-    // bytes are already here; validate them in place through a
-    // private file-less path would duplicate the logic. Instead,
-    // validate structurally exactly as the snapshot does, then merge
-    // the entry arrays.
-    const char *b = bytes.data();
-    if (hdr[kHdrHeaderCrc] != crc32Of(b, (kHeaderWords - 1) * 8))
-        return CacheLoadStatus::Corrupt;
-    if (hdr[kHdrTotalWords] * 8 != bytes.size())
-        return CacheLoadStatus::Corrupt;
-    if (hdr[kHdrBodyCrc] != crc32Of(b + kHeaderWords * 8,
-                                    bytes.size() - kHeaderWords * 8))
-        return CacheLoadStatus::Corrupt;
-    const std::uint64_t maxWords = bytes.size() / 8;
-    const std::uint64_t sSlots = hdr[kHdrScalarSlots];
-    const std::uint64_t sCount = hdr[kHdrScalarCount];
-    const std::uint64_t fSlots = hdr[kHdrFrontSlots];
-    const std::uint64_t fCount = hdr[kHdrFrontCount];
-    const std::uint64_t gSlots = hdr[kHdrSegSlots];
-    const std::uint64_t gCount = hdr[kHdrSegCount];
-    const std::uint64_t heapWords = hdr[kHdrHeapWords];
-    // Counts are cross-checked against the file length before any
-    // allocation (divide, never multiply, so a hostile count cannot
-    // overflow the check).
-    if (sCount > maxWords / kScalarEntryWords ||
-        fCount > maxWords / kFrontEntryWords ||
-        gCount > maxWords / kSegEntryWords || sSlots > maxWords ||
-        fSlots > maxWords || gSlots > maxWords ||
-        heapWords > maxWords)
-        return CacheLoadStatus::Corrupt;
-    if (sSlots != slotCountFor(sCount) ||
-        fSlots != slotCountFor(fCount) ||
-        gSlots != slotCountFor(gCount))
-        return CacheLoadStatus::Corrupt;
-    const std::uint64_t scalarEntriesAt = kHeaderWords + sSlots;
-    const std::uint64_t frontSlotsAt =
-        scalarEntriesAt + sCount * kScalarEntryWords;
-    const std::uint64_t frontEntriesAt = frontSlotsAt + fSlots;
-    const std::uint64_t segSlotsAt =
-        frontEntriesAt + fCount * kFrontEntryWords;
-    const std::uint64_t segEntriesAt = segSlotsAt + gSlots;
-    const std::uint64_t heapAt = segEntriesAt + gCount * kSegEntryWords;
-    // The regions must consume the file exactly — trailing bytes
-    // mean a corrupt length/count somewhere, so reject wholesale.
-    if (heapAt + heapWords != hdr[kHdrTotalWords])
-        return CacheLoadStatus::Corrupt;
-    const std::uint64_t *w =
-        reinterpret_cast<const std::uint64_t *>(bytes.data());
-    auto slotsOk = [&](std::uint64_t at, std::uint64_t n,
-                       std::uint64_t count) {
-        for (std::uint64_t i = 0; i < n; ++i)
-            if (w[at + i] > count)
-                return false;
-        return true;
-    };
-    if (!slotsOk(kHeaderWords, sSlots, sCount) ||
-        !slotsOk(frontSlotsAt, fSlots, fCount) ||
-        !slotsOk(segSlotsAt, gSlots, gCount))
-        return CacheLoadStatus::Corrupt;
-
-    // Decode fully before touching the cache: a corrupt file must
-    // not leave a half-merged state behind.
-    std::vector<std::pair<CacheKey, LayerResult>> entries;
-    entries.reserve(std::size_t(sCount));
-    for (std::uint64_t e = 0; e < sCount; ++e) {
-        const std::uint64_t *ew =
-            w + scalarEntriesAt + e * kScalarEntryWords;
-        CacheKey key;
-        std::copy(ew, ew + kKeyWords, key.words.begin());
-        key.hashValue = key.computeHash();
-        entries.emplace_back(key, readResult(ew + kKeyWords));
-    }
-
-    std::vector<std::pair<CacheKey, std::vector<FrontierPoint>>>
-        frontEntriesV;
-    frontEntriesV.reserve(std::size_t(fCount));
-    for (std::uint64_t e = 0; e < fCount; ++e) {
-        const std::uint64_t *ew =
-            w + frontEntriesAt + e * kFrontEntryWords;
-        CacheKey key;
-        std::copy(ew, ew + kKeyWords, key.words.begin());
-        key.hashValue = key.computeHash();
-        const std::uint64_t points = ew[kKeyWords];
-        const std::uint64_t off = ew[kKeyWords + 1];
-        // save() never writes an empty frontier; accepting one here
-        // would defer the failure to a mid-sweep panic instead of
-        // the contractual load-time wholesale rejection.
-        if (points == 0 ||
-            points > heapWords / kFrontierPointWords ||
-            off > heapWords - points * kFrontierPointWords)
-            return CacheLoadStatus::Corrupt;
-        std::vector<FrontierPoint> pts;
-        pts.reserve(std::size_t(points));
-        for (std::uint64_t p = 0; p < points; ++p)
-            pts.push_back(readFrontierPoint(
-                w + heapAt + off + p * kFrontierPointWords));
-        frontEntriesV.emplace_back(key, std::move(pts));
-    }
-
-    std::vector<std::pair<CacheKey, SegmentRecord>> segEntriesV;
-    segEntriesV.reserve(std::size_t(gCount));
-    for (std::uint64_t e = 0; e < gCount; ++e) {
-        const std::uint64_t *ew =
-            w + segEntriesAt + e * kSegEntryWords;
-        CacheKey key;
-        std::copy(ew, ew + kKeyWords, key.words.begin());
-        key.hashValue = key.computeHash();
-        const std::uint64_t stages = ew[kKeyWords];
-        const std::uint64_t off = ew[kKeyWords + 1];
-        // A segment record always has >= 2 stages; anything else is
-        // corruption.
-        if (stages < 2 ||
-            stages > (heapWords - kSegmentCostWords) /
-                         kSegmentStageWords ||
-            off > heapWords - kSegmentCostWords -
-                      stages * kSegmentStageWords)
-            return CacheLoadStatus::Corrupt;
-        SegmentRecord rec;
-        rec.id.resize(std::size_t(stages));
-        rec.mappings.resize(std::size_t(stages));
-        rec.results.resize(std::size_t(stages));
-        for (std::uint64_t st = 0; st < stages; ++st) {
-            const std::uint64_t *sw =
-                w + heapAt + off + st * kSegmentStageWords;
-            std::copy(sw, sw + LayerSignature::kWords,
-                      rec.id[st].sig.begin());
-            sw += LayerSignature::kWords;
-            rec.id[st].cols = *sw++;
-            rec.mappings[st].dataflow = DataflowTag(sw[0]);
-            rec.mappings[st].tm = Int(sw[1]);
-            rec.mappings[st].tn = Int(sw[2]);
-            rec.mappings[st].tk = Int(sw[3]);
-            rec.results[st] = readResult(sw + 4);
+    // The same validator as the shared tier: the whole image is
+    // checked before any entry is merged, so a corrupt file never
+    // leaves a half-merged state behind.
+    CacheImage image;
+    const CacheLoadStatus st =
+        image.open(words.data(), std::size_t(fileBytes));
+    if (st != CacheLoadStatus::Loaded)
+        return st;
+    forEachKind([&](auto kind) {
+        using K = decltype(kind);
+        typename K::Value val;
+        for (std::uint64_t e = 0; e < image.count<K>(); ++e) {
+            image.decode<K>(e, &val);
+            insertIn<K>(image.key<K>(e), val);
         }
-        rec.cost = readSegmentCost(
-            w + heapAt + off + stages * kSegmentStageWords);
-        segEntriesV.emplace_back(key, std::move(rec));
-    }
-
-    for (const auto &kv : entries)
-        insert(kv.first, kv.second);
-    for (const auto &kv : frontEntriesV)
-        insertFrontier(kv.first, kv.second);
-    for (const auto &kv : segEntriesV)
-        insertSegment(kv.first, kv.second);
+    });
     return CacheLoadStatus::Loaded;
 }
 
@@ -1766,9 +1634,10 @@ CostCache::clear()
 {
     for (auto &s : shards_) {
         std::lock_guard<std::mutex> lk(s->mu);
-        s->map.clear();
-        s->fronts.clear();
-        s->segs.clear();
+        forEachKind([&](auto kind) {
+            using K = decltype(kind);
+            ((*s).*K::kTable).clear();
+        });
     }
     // Invalidate every thread's L0 entries for this cache: slots are
     // tagged with the epoch at fill time, so bumping it turns them

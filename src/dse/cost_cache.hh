@@ -530,6 +530,33 @@ class CostCache
 
     Shard &shardFor(const CacheKey &key);
 
+    /** Record-kind traits (defined in cost_cache.cc): one each for
+     *  scalar, frontier and segment entries. Every path below is
+     *  written once, generic over the kind. */
+    struct ScalarKind;
+    struct FrontierKind;
+    struct SegmentKind;
+    /** The v5 image validator/decoder walks the kinds too. */
+    friend class CacheImage;
+
+    /** Call f(K{}) for each kind, in file order. */
+    template <class F>
+    static void forEachKind(F &&f);
+
+    template <class K>
+    bool lookupIn(const CacheKey &key, const typename K::Check &check,
+                  typename K::Value *out);
+    template <class K>
+    void insertIn(const CacheKey &key, const typename K::Value &val);
+    /** L0 first (no locks), then lookupIn, promoting a hit into L0. */
+    template <class K>
+    bool lookupFastIn(const CacheKey &key, typename K::Value *out);
+    template <class K>
+    void insertFastIn(const CacheKey &key,
+                      const typename K::Value &val);
+    template <class K>
+    std::size_t countIn() const;
+
     /** Next global recency stamp (relaxed; ordering between stamps
      *  taken under different shard locks only matters to eviction
      *  ranking, where approximate interleaving is acceptable). */
