@@ -181,6 +181,10 @@ TEST(CacheCorruption, BitFlipsAnywhereAreRejected)
         EXPECT_EQ(fresh.size(), 0u) << "flip at " << at;
         EXPECT_EQ(fresh.frontierCount(), 0u) << "flip at " << at;
         EXPECT_EQ(fresh.segmentCount(), 0u) << "flip at " << at;
+        // The mmap'd shared tier runs the same validator.
+        CostCache reader;
+        EXPECT_FALSE(reader.attachShared(path)) << "flip at " << at;
+        EXPECT_EQ(reader.sharedGeneration(), 0u) << "flip at " << at;
     }
 
     // The pristine bytes still load — the rejections were about the
@@ -191,6 +195,8 @@ TEST(CacheCorruption, BitFlipsAnywhereAreRejected)
     EXPECT_EQ(intact.loadEx(path), CacheLoadStatus::Loaded);
     EXPECT_EQ(intact.size(), cache.size());
     EXPECT_EQ(intact.segmentCount(), cache.segmentCount());
+    CostCache reader;
+    EXPECT_TRUE(reader.attachShared(path));
     std::remove(path.c_str());
 }
 
@@ -221,6 +227,9 @@ TEST(CacheCorruption, LoadStatusClassification)
     EXPECT_EQ(stale.loadOrQuarantine(path), CacheLoadStatus::Stale);
     EXPECT_EQ(stale.quarantined(), 0u);
     EXPECT_TRUE(fileExists(path)); // Still in place.
+    CostCache reader; // Nor is a stale image mapped as a shared tier.
+    EXPECT_FALSE(reader.attachShared(path));
+    EXPECT_EQ(reader.sharedGeneration(), 0u);
     EXPECT_FALSE(fileExists(path + ".corrupt"));
     std::remove(path.c_str());
 }
