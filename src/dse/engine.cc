@@ -40,48 +40,36 @@ DseEngine::saveCache() const
     return cache_.save(opt_.cachePath);
 }
 
-StatsEpoch
-DseEngine::beginEpoch() const
-{
-    StatsEpoch e;
-    e.cache = cache_.counters();
-    e.eval = evaluator_.counters();
-    e.start = std::chrono::steady_clock::now();
-    return e;
-}
-
 DseStats
-DseEngine::statsSince(const StatsEpoch &e) const
+DseEngine::statsFrom(const StatsContext &ctx, double wallSeconds) const
 {
+    const auto get = [](const std::atomic<std::uint64_t> &v) {
+        return v.load(std::memory_order_relaxed);
+    };
     DseStats s;
-    const CacheCounters cc = cache_.counters() - e.cache;
-    s.cacheHits = cc.hits;
-    s.cacheMisses = cc.misses;
-    s.l0Hits = cc.l0Hits;
-    s.l0Misses = cc.l0Misses;
-    s.frontHits = cc.frontHits;
-    s.frontMisses = cc.frontMisses;
-    s.segHits = cc.segHits;
-    s.segMisses = cc.segMisses;
-    s.evictions = cc.evictions;
-    s.sharedHits = cc.sharedHits;
-    s.sharedFrontHits = cc.sharedFrontHits;
-    s.sharedSegHits = cc.sharedSegHits;
-    // Gauges carry the window-close reading (CacheCounters::operator-
-    // does not difference them).
-    s.residentBytes = cc.residentBytes;
-    s.generation = cc.generation;
-    const EvalCounters ec = evaluator_.counters();
-    s.modelEvals = ec.modelEvals - e.eval.modelEvals;
-    s.mappingsPruned = ec.mappingsPruned - e.eval.mappingsPruned;
-    s.dataflowsPruned = ec.dataflowsPruned - e.eval.dataflowsPruned;
-    s.layersDeduped = ec.layersDeduped - e.eval.layersDeduped;
-    s.crossModelDeduped =
-        ec.crossModelDeduped - e.eval.crossModelDeduped;
-    s.wallSeconds =
-        std::chrono::duration<double>(
-            std::chrono::steady_clock::now() - e.start)
-            .count();
+    s.cacheHits = get(ctx.cacheHits);
+    s.cacheMisses = get(ctx.cacheMisses);
+    s.l0Hits = get(ctx.l0Hits);
+    s.l0Misses = get(ctx.l0Misses);
+    s.frontHits = get(ctx.frontHits);
+    s.frontMisses = get(ctx.frontMisses);
+    s.segHits = get(ctx.segHits);
+    s.segMisses = get(ctx.segMisses);
+    s.evictions = get(ctx.evictions);
+    s.sharedHits = get(ctx.sharedHits);
+    s.sharedFrontHits = get(ctx.sharedFrontHits);
+    s.sharedSegHits = get(ctx.sharedSegHits);
+    s.modelEvals = get(ctx.modelEvals);
+    s.mappingsPruned = get(ctx.mappingsPruned);
+    s.dataflowsPruned = get(ctx.dataflowsPruned);
+    s.layersDeduped = get(ctx.layersDeduped);
+    s.crossModelDeduped = get(ctx.crossModelDeduped);
+    // Gauges are whole-cache readings at window close, not
+    // attributions (a StatsContext cannot carry a point-in-time
+    // footprint).
+    s.residentBytes = cache_.residentBytes();
+    s.generation = cache_.sharedGeneration();
+    s.wallSeconds = wallSeconds;
     return s;
 }
 
@@ -141,7 +129,11 @@ DseEngine::explore(const CandidateSpace &space, const Model &m,
 {
     LEGO_TRACE_SPAN_ARG("dse.explore", "dse", "space",
                         space.size());
-    const StatsEpoch epoch = beginEpoch();
+    // Per-call stats context, re-installed inside every pool item
+    // so work on shared workers credits this call (stats_scope.hh).
+    StatsContext statsCtx;
+    StatsContext::Scope statsScope(&statsCtx);
+    const auto start = std::chrono::steady_clock::now();
     DseResult res;
 
     StrategyOptions sopt;
@@ -190,6 +182,7 @@ DseEngine::explore(const CandidateSpace &space, const Model &m,
                             fresh.size());
         std::vector<DsePoint> points(fresh.size());
         pool_.parallelFor(fresh.size(), [&](std::size_t i) {
+            StatsContext::Scope scope(&statsCtx);
             points[i] =
                 evaluator_.evaluate(space.decode(fresh[i]), m,
                                     fresh[i]);
@@ -203,11 +196,13 @@ DseEngine::explore(const CandidateSpace &space, const Model &m,
             break;
     }
 
-    // Counter deltas through the shared epoch hooks; the
-    // strategy-level numbers accumulated above are preserved.
+    // The strategy-level numbers accumulated above are preserved.
     const std::size_t proposed = res.stats.proposed;
     const std::size_t evaluatedCount = res.stats.evaluated;
-    res.stats = statsSince(epoch);
+    res.stats = statsFrom(
+        statsCtx, std::chrono::duration<double>(
+                      std::chrono::steady_clock::now() - start)
+                      .count());
     res.stats.proposed = proposed;
     res.stats.evaluated = evaluatedCount;
     res.stats.pruned = strat->pruned();
@@ -255,8 +250,6 @@ DseEngine::searchSegmentPlan(const HardwareConfig &hw, const Model &m,
     segStats_.plansEvaluated += stats.plansEvaluated;
     segStats_.infeasible += stats.infeasible;
     segStats_.accepted += stats.accepted;
-    segStats_.cacheHits += stats.cacheHits;
-    segStats_.cacheMisses += stats.cacheMisses;
     return plan;
 }
 

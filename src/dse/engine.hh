@@ -17,11 +17,11 @@
 #ifndef LEGO_DSE_ENGINE_HH
 #define LEGO_DSE_ENGINE_HH
 
-#include <chrono>
 #include <mutex>
 
 #include "dse/evaluator.hh"
 #include "dse/segment_search.hh"
+#include "dse/stats_scope.hh"
 #include "dse/strategy.hh"
 #include "obs/metrics.hh"
 
@@ -132,20 +132,6 @@ struct DseResult
     bool degraded = false;
 };
 
-/**
- * Opaque counter snapshot opening a stats window on one engine.
- * beginEpoch() snapshots every cache and evaluator counter plus the
- * wall clock; statsSince() turns a snapshot into exact deltas. The
- * serve loop opens one epoch per request; explore() uses the same
- * hooks for its per-call stats.
- */
-struct StatsEpoch
-{
-    CacheCounters cache;
-    EvalCounters eval;
-    std::chrono::steady_clock::time_point start;
-};
-
 class DseEngine
 {
   public:
@@ -216,20 +202,13 @@ class DseEngine
     DsePoint evaluate(const HardwareConfig &hw, const Model &m);
 
     /**
-     * @name Stats epochs (per-request windows)
-     * Open a counter window and read its exact deltas later.
-     * Counters are monotonic, so any number of windows may be open
-     * at once; deltas are exact as long as no evaluation runs
-     * concurrently with the two snapshots (the serve loop serves
-     * requests one at a time, so per-request stats are exact).
-     * @{
+     * Stats of one window out of the StatsContext that was installed
+     * for it (stats_scope.hh): the context's counters, `wallSeconds`,
+     * and the cache gauges read now. Strategy-level fields
+     * (proposed/evaluated/pruned) are zero — explore() fills them.
      */
-    StatsEpoch beginEpoch() const;
-    /** Deltas (cache tiers, evaluator work, wall time) since `e`.
-     *  Strategy-level fields (proposed/evaluated/pruned) are zero —
-     *  they belong to explore(), which fills them itself. */
-    DseStats statsSince(const StatsEpoch &e) const;
-    /** @} */
+    DseStats statsFrom(const StatsContext &ctx,
+                       double wallSeconds) const;
 
     /**
      * Persist the memo cache to options().cachePath. Returns false

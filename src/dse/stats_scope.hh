@@ -1,21 +1,20 @@
 /**
  * @file
- * Per-request stats attribution for concurrent callers of the DSE
- * engine. The engine's StatsEpoch hooks (beginEpoch/statsSince)
- * snapshot GLOBAL monotonic counters, so their deltas are exact only
- * while requests never overlap — the single-dispatcher serving
- * assumption. Once the serve loop overlaps requests, two open epochs
- * see each other's work.
+ * Per-window stats attribution for concurrent callers of the DSE
+ * engine. Deltas of the engine's GLOBAL monotonic counters are exact
+ * only while windows never overlap; once the serve loop overlaps
+ * requests, two windows see each other's work.
  *
- * A StatsContext is the overlap-safe replacement: a per-request
+ * A StatsContext is the overlap-safe alternative: a per-window
  * counter block installed into thread-local storage with an RAII
  * Scope. Every counter bump site (Evaluator work counters, CostCache
  * tier counters) credits BOTH the global atomic and the current
- * thread's context, and the evaluator re-installs the submitting
- * thread's context inside each WorkerPool item it fans out, so work
- * executed by shared pool workers is attributed to the request that
- * asked for it — exactly, even with any number of requests in
- * flight.
+ * thread's context, and the evaluator and DseEngine::explore()
+ * re-install the submitting thread's context inside each WorkerPool
+ * item they fan out, so work executed by shared pool workers is
+ * attributed to the window (a serve request, an explore() call) that
+ * asked for it — exactly, even with any number of windows open.
+ * DseEngine::statsFrom() turns a context into DseStats.
  *
  * Null context (the default on every thread) costs one thread-local
  * load per bump; paths that never install a scope are unchanged.

@@ -44,39 +44,6 @@ jsonEscaped(const std::string &s)
     return out;
 }
 
-/** Per-request stats out of the request's own StatsContext. The
- *  overlap-safe successor of DseEngine::beginEpoch/statsSince:
- *  deltas of GLOBAL counters stop being per-request the moment two
- *  requests overlap, while the context was only ever credited by
- *  work items carrying this request's scope. */
-dse::DseStats
-statsFrom(const dse::StatsContext &ctx, double wallSeconds)
-{
-    const auto get = [](const std::atomic<std::uint64_t> &v) {
-        return v.load(std::memory_order_relaxed);
-    };
-    dse::DseStats s;
-    s.cacheHits = get(ctx.cacheHits);
-    s.cacheMisses = get(ctx.cacheMisses);
-    s.l0Hits = get(ctx.l0Hits);
-    s.l0Misses = get(ctx.l0Misses);
-    s.frontHits = get(ctx.frontHits);
-    s.frontMisses = get(ctx.frontMisses);
-    s.segHits = get(ctx.segHits);
-    s.segMisses = get(ctx.segMisses);
-    s.evictions = get(ctx.evictions);
-    s.sharedHits = get(ctx.sharedHits);
-    s.sharedFrontHits = get(ctx.sharedFrontHits);
-    s.sharedSegHits = get(ctx.sharedSegHits);
-    s.modelEvals = get(ctx.modelEvals);
-    s.mappingsPruned = get(ctx.mappingsPruned);
-    s.dataflowsPruned = get(ctx.dataflowsPruned);
-    s.layersDeduped = get(ctx.layersDeduped);
-    s.crossModelDeduped = get(ctx.crossModelDeduped);
-    s.wallSeconds = wallSeconds;
-    return s;
-}
-
 } // namespace
 
 bool
@@ -380,8 +347,7 @@ ServeLoop::buildResponse(const Pending &p)
     // Per-request stats context: every counter bumped while this
     // scope (or a pool item's re-installed copy of it) is current
     // credits THIS request — exact even with other requests in
-    // flight, which the engine's global beginEpoch/statsSince deltas
-    // are not.
+    // flight, which deltas of the engine's global counters are not.
     dse::StatsContext statsCtx;
     dse::StatsContext::Scope statsScope(&statsCtx);
     const auto buildStart = std::chrono::steady_clock::now();
@@ -477,14 +443,10 @@ ServeLoop::buildResponse(const Pending &p)
         metrics_.histogram("serve.compose_us")
             .record(double(obs::Tracer::nowNs() - t0) / 1000.0);
     }
-    r.stats.dse = statsFrom(
+    r.stats.dse = engine_.statsFrom(
         statsCtx, std::chrono::duration<double>(
                       std::chrono::steady_clock::now() - buildStart)
                       .count());
-    // Gauges are whole-cache readings, not per-request attributions
-    // (a StatsContext cannot carry a point-in-time footprint).
-    r.stats.dse.residentBytes = engine_.cache().residentBytes();
-    r.stats.dse.generation = engine_.cache().sharedGeneration();
     r.compose = copt;
     r.ok = true;
     // Best-so-far is never nothing: every frontier keeps >= 1 point

@@ -596,6 +596,37 @@ TEST(Engine, ThreadCountDeterminism)
     }
 }
 
+TEST(Engine, ExploreStatsMatchGlobalCounterDeltas)
+{
+    // explore() attributes through a StatsContext re-installed in
+    // every pool item; with no other caller on the engine, its stats
+    // must equal the deltas of the global counters over the call —
+    // cold (misses) and warm (hits) alike.
+    Model m = makeLeNet();
+    CandidateSpace space = dse::eyerissEquivalentSpace();
+    DseOptions opt;
+    opt.threads = 4;
+    DseEngine engine(opt);
+    for (int pass = 0; pass < 2; ++pass) {
+        const dse::CacheCounters c0 = engine.cache().counters();
+        const std::uint64_t e0 = engine.evaluator().counters().modelEvals;
+        const DseResult r = engine.explore(space, m);
+        const dse::CacheCounters dc = engine.cache().counters() - c0;
+        EXPECT_EQ(r.stats.cacheHits, dc.hits) << pass;
+        EXPECT_EQ(r.stats.cacheMisses, dc.misses) << pass;
+        EXPECT_EQ(r.stats.l0Hits, dc.l0Hits) << pass;
+        EXPECT_EQ(r.stats.l0Misses, dc.l0Misses) << pass;
+        EXPECT_EQ(r.stats.modelEvals,
+                  engine.evaluator().counters().modelEvals - e0)
+            << pass;
+        EXPECT_GT(r.stats.l0Misses, 0u) << pass;
+        if (pass == 0)
+            EXPECT_GT(r.stats.modelEvals, 0u);
+        else
+            EXPECT_GT(r.stats.l0Hits + r.stats.cacheHits, 0u);
+    }
+}
+
 TEST(Engine, ExhaustiveArchiveIsTrueFrontier)
 {
     // Tiny bespoke space: verify the archive equals the brute-force
