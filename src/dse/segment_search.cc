@@ -226,12 +226,6 @@ class RunAnnealer
         if (cache) {
             key = makeSegmentKey(hw_, ids);
             hit = cache->lookupSegment(key, ids, &rec);
-            if (stats_) {
-                if (hit)
-                    ++stats_->cacheHits;
-                else
-                    ++stats_->cacheMisses;
-            }
         }
 
         Segment seg;

@@ -42,8 +42,6 @@ struct SegmentSearchStats
     std::uint64_t plansEvaluated = 0; //!< Pipelined segments costed.
     std::uint64_t infeasible = 0;     //!< Costed segments over capacity.
     std::uint64_t accepted = 0;       //!< Pipelined segments in the plan.
-    std::uint64_t cacheHits = 0;      //!< Segment-record cache hits.
-    std::uint64_t cacheMisses = 0;    //!< Segment-record cache misses.
 };
 
 /**

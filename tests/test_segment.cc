@@ -351,7 +351,7 @@ TEST(SegmentCache, V4RoundTripAndV2Rejected)
     SegmentPlan again = dse::searchSegments(hw, m, warmEv, sopt, &stats);
     expectSameSegments(plan.segments, again.segments);
     EXPECT_GT(warm.segHits(), 0u);
-    EXPECT_EQ(stats.cacheMisses, 0u);
+    EXPECT_EQ(warm.segMisses(), 0u);
 
     // Patch the version word (offset 1) down to 2: a v2-era file —
     // no segment section — must be rejected, never misread.
