@@ -835,6 +835,7 @@ class SharedSnapshot
     }
 
     const CacheImage &image() const { return image_; }
+    std::uint64_t generation() const { return image_.generation(); }
 
   private:
     SharedSnapshot() = default;
@@ -1066,11 +1067,11 @@ CostCache::mapShared(bool countRemap)
     if (!snap)
         return false;
     std::lock_guard<std::mutex> lk(sharedMu_);
-    if (shared_ && shared_->image().generation() == snap->image().generation())
+    if (shared_ && shared_->generation() == snap->generation())
         return false; // Raced with another refresher; keep theirs.
     const bool hadPrevious = shared_ != nullptr;
     shared_ = std::move(snap);
-    sharedGen_.store(shared_->image().generation(),
+    sharedGen_.store(shared_->generation(),
                      std::memory_order_relaxed);
     if (countRemap && hadPrevious)
         remaps_.fetch_add(1, std::memory_order_relaxed);

@@ -147,8 +147,7 @@ CacheKey makeSegmentKey(const HardwareConfig &hw,
 /**
  * Point-in-time snapshot of every CostCache counter, with a
  * subtraction operator so clients can report exact per-window deltas
- * (the serve loop's per-request stats epochs, the engine's explore()
- * stats, the perf bench's per-sweep numbers).
+ * (the perf benches' per-sweep numbers).
  */
 struct CacheCounters
 {
@@ -331,7 +330,8 @@ class CostCache
      * Sharded lookup of a memoized segment evaluation. `stages` is
      * the exact per-stage identity the key was built from; a stored
      * record whose id differs (hashed-tag collision) counts as a
-     * miss, preserving exactness.
+     * miss, preserving exactness; `*out` may then have been
+     * overwritten.
      */
     bool lookupSegment(const CacheKey &key,
                        const std::vector<SegmentKeyId> &stages,

@@ -221,9 +221,8 @@ class DseEngine
      * `registry` under stable names ("dse.cache.l0_hits",
      * "dse.eval.model_evals", ... — the full map is in
      * src/obs/README.md). The sources are monotonic, so registry
-     * snapshot/delta windows over them are exact — the one-stop
-     * replacement for hand-carried DseStats/CacheCounters epochs
-     * when several engines or subsystems are reported together.
+     * snapshot/delta windows over them are exact when several
+     * engines or subsystems are reported together.
      */
     void publishMetrics(obs::MetricsRegistry &registry) const;
 
