@@ -1,0 +1,60 @@
+/**
+ * @file
+ * Identity pin for the largest generated design of paper Table IV:
+ * the 32x32 ICOC GEMM array (1024 FUs) through the whole generation
+ * flow, generateArchitecture -> codegen -> runBackend -> emitVerilog,
+ * checked by the interpreter. The expected register bits, final cost
+ * and Verilog hash were recorded from the seed successive-shortest-
+ * path solver; any change to delay matching or the LP solvers that
+ * moves a register shows up here.
+ */
+
+#include <gtest/gtest.h>
+
+#include "lego.hh"
+
+namespace lego
+{
+namespace
+{
+
+std::uint64_t
+fnv1a(const std::string &s)
+{
+    std::uint64_t h = kFnv1aOffset;
+    for (char c : s)
+        h = fnv1aByte(h, std::uint8_t(c));
+    return h;
+}
+
+TEST(ScaleDesign, GemmIcoc32x32Identical)
+{
+    const Int p = 32;
+    Workload w = makeGemm(2 * p, 2 * p, 2 * p);
+    DataflowSpec spec =
+        makeSimpleSpec(w, "icoc", {{"k", p}, {"j", p}}, false);
+    Adg adg = generateArchitecture({{&w, buildDataflow(w, spec)}});
+    CodegenResult gen = codegen(adg);
+    BackendReport rep = runBackend(gen);
+    std::string rtl = emitVerilog(gen, "lego_GEMM_ICOC_32x32");
+
+    EXPECT_TRUE(delaysMatched(gen.dag));
+    EXPECT_TRUE(verifyAgainstReference(gen, adg, 0, 1));
+    EXPECT_EQ(rep.matchStats.insertedRegBits, 30800);
+
+    const DagCost &c = rep.final;
+    EXPECT_DOUBLE_EQ(c.regArea, 67759.999999999767);
+    EXPECT_DOUBLE_EQ(c.arithArea, 114035.20000000106);
+    EXPECT_DOUBLE_EQ(c.muxArea, 0);
+    EXPECT_DOUBLE_EQ(c.ctrlArea, 79246.400000001624);
+    EXPECT_DOUBLE_EQ(c.portArea, 36480);
+    EXPECT_DOUBLE_EQ(c.regPower, 33879.999999999884);
+    EXPECT_DOUBLE_EQ(c.arithPower, 38982.720000000249);
+    EXPECT_DOUBLE_EQ(c.muxPower, 0);
+    EXPECT_DOUBLE_EQ(c.ctrlPower, 15571.599999999697);
+    EXPECT_DOUBLE_EQ(c.portPower, 10944.000000000224);
+    EXPECT_EQ(fnv1a(rtl), 0x3b62a9a903ff04baull);
+}
+
+} // namespace
+} // namespace lego
