@@ -82,6 +82,8 @@ DiffConstraintLp::value(int v) const
 Int
 DiffConstraintLp::slack(int k) const
 {
+    if (!solved_)
+        panic("DiffConstraintLp::slack before solve");
     const Con &c = cons_.at(size_t(k));
     return d_[size_t(c.v)] - d_[size_t(c.u)] - c.lower;
 }
@@ -89,6 +91,8 @@ DiffConstraintLp::slack(int k) const
 Int
 DiffConstraintLp::objective() const
 {
+    if (!solved_)
+        panic("DiffConstraintLp::objective before solve");
     Int z = 0;
     for (size_t k = 0; k < cons_.size(); k++)
         z += cons_[k].weight * slack(int(k));

@@ -11,6 +11,12 @@
  * the node potentials (the constraint matrix is totally unimodular, so
  * the integral optimum is the true LP optimum).
  *
+ * The LP usually has many optimal D. Which one is returned is decided
+ * by MinCostFlow's potential rule (Bellman-Ford start, capped update
+ * after each Dijkstra; see netflow.hh), and it fixes where delay
+ * matching places registers. A solver change must keep that rule, or
+ * the generated designs change.
+ *
  * Broadcast-aware re-pricing (Section V-B stage 1) is expressible in
  * the same form by adding a virtual max-node per broadcast source, so
  * one solver serves both passes.
@@ -48,6 +54,8 @@ class DiffConstraintLp
      * constraint graph, which cannot happen for DAG-derived systems).
      */
     bool solve();
+
+    // The accessors below panic unless solve() returned true.
 
     /** Optimal value of D_v (anchored so the minimum D is 0). */
     Int value(int v) const;

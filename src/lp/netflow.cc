@@ -98,12 +98,9 @@ MinCostFlow::bellmanFordInit(int src)
 }
 
 bool
-MinCostFlow::dijkstra(int src, int dst, std::vector<int> &prev_node,
-                      std::vector<int> &prev_edge)
+MinCostFlow::dijkstra(int src, int dst)
 {
     std::vector<Int> dist(size_t(n_), kInf);
-    prev_node.assign(size_t(n_), -1);
-    prev_edge.assign(size_t(n_), -1);
     using Item = std::pair<Int, int>;
     std::priority_queue<Item, std::vector<Item>, std::greater<Item>> pq;
     dist[size_t(src)] = 0;
@@ -113,8 +110,7 @@ MinCostFlow::dijkstra(int src, int dst, std::vector<int> &prev_node,
         pq.pop();
         if (d > dist[size_t(u)])
             continue;
-        for (size_t i = 0; i < graph_[size_t(u)].size(); i++) {
-            const Edge &e = graph_[size_t(u)][i];
+        for (const Edge &e : graph_[size_t(u)]) {
             if (e.cap <= 0)
                 continue;
             Int rc = e.cost + pi_[size_t(u)] - pi_[size_t(e.to)];
@@ -123,8 +119,6 @@ MinCostFlow::dijkstra(int src, int dst, std::vector<int> &prev_node,
             Int nd = d + rc;
             if (nd < dist[size_t(e.to)]) {
                 dist[size_t(e.to)] = nd;
-                prev_node[size_t(e.to)] = u;
-                prev_edge[size_t(e.to)] = int(i);
                 pq.push({nd, e.to});
             }
         }
@@ -139,8 +133,88 @@ MinCostFlow::dijkstra(int src, int dst, std::vector<int> &prev_node,
 }
 
 bool
+MinCostFlow::admissible(int u, const Edge &e) const
+{
+    return e.cap > 0 && e.cost + pi_[size_t(u)] - pi_[size_t(e.to)] == 0;
+}
+
+bool
+MinCostFlow::levelGraph(int src, int dst)
+{
+    level_.assign(size_t(n_), -1);
+    queue_.clear();
+    level_[size_t(src)] = 0;
+    queue_.push_back(src);
+    for (size_t head = 0; head < queue_.size(); head++) {
+        const int u = queue_[head];
+        for (const Edge &e : graph_[size_t(u)]) {
+            if (level_[size_t(e.to)] < 0 && admissible(u, e)) {
+                level_[size_t(e.to)] = level_[size_t(u)] + 1;
+                queue_.push_back(e.to);
+            }
+        }
+    }
+    return level_[size_t(dst)] >= 0;
+}
+
+Int
+MinCostFlow::blockingFlow(int src, int dst)
+{
+    // Iterative DFS along level-increasing admissible arcs. arc_[u] is
+    // u's current arc: arcs before it are saturated or lead to dead
+    // ends in this level graph, so every arc is skipped at most once.
+    arc_.assign(size_t(n_), 0);
+    path_.clear();
+    Int pushed = 0;
+    int u = src;
+    for (;;) {
+        if (u == dst) {
+            Int push = kInf;
+            for (int w : path_)
+                push = std::min(push,
+                                graph_[size_t(w)][arc_[size_t(w)]].cap);
+            size_t cut = path_.size();
+            for (size_t i = 0; i < path_.size(); i++) {
+                const int w = path_[i];
+                Edge &e = graph_[size_t(w)][arc_[size_t(w)]];
+                e.cap -= push;
+                graph_[size_t(e.to)][size_t(e.rev)].cap += push;
+                totalCost_ += push * e.cost;
+                if (e.cap == 0 && cut == path_.size())
+                    cut = i;
+            }
+            pushed += push;
+            // Resume from the tail of the first saturated arc.
+            u = path_[cut];
+            path_.resize(cut);
+            continue;
+        }
+        const std::vector<Edge> &adj = graph_[size_t(u)];
+        size_t &i = arc_[size_t(u)];
+        while (i < adj.size() &&
+               !(level_[size_t(adj[i].to)] == level_[size_t(u)] + 1 &&
+                 admissible(u, adj[i])))
+            i++;
+        if (i < adj.size()) {
+            path_.push_back(u);
+            u = adj[i].to;
+        } else if (u == src) {
+            return pushed;
+        } else {
+            // Dead end: retreat and skip the arc that led here.
+            u = path_.back();
+            path_.pop_back();
+            arc_[size_t(u)]++;
+        }
+    }
+}
+
+bool
 MinCostFlow::solve()
 {
+    if (solved_)
+        panic("MinCostFlow::solve called twice");
+    solved_ = true;
     const int src = n_ - 2;
     const int dst = n_ - 1;
     Int total = 0;
@@ -162,28 +236,15 @@ MinCostFlow::solve()
     if (!bellmanFordInit(src))
         panic("MinCostFlow: negative cycle in constraint graph");
 
+    // One Dijkstra per distance level; between them, ship everything
+    // the admissible arcs can carry. The source's arcs carry exactly
+    // `total`, so no phase overshoots.
     Int shipped = 0;
-    std::vector<int> prev_node, prev_edge;
     while (shipped < total) {
-        if (!dijkstra(src, dst, prev_node, prev_edge))
+        if (!dijkstra(src, dst))
             return false;
-        // Bottleneck along the path.
-        Int push = kInf;
-        for (int v = dst; v != src; v = prev_node[size_t(v)]) {
-            const Edge &e =
-                graph_[size_t(prev_node[size_t(v)])]
-                      [size_t(prev_edge[size_t(v)])];
-            push = std::min(push, e.cap);
-        }
-        push = std::min(push, total - shipped);
-        for (int v = dst; v != src; v = prev_node[size_t(v)]) {
-            Edge &e = graph_[size_t(prev_node[size_t(v)])]
-                            [size_t(prev_edge[size_t(v)])];
-            e.cap -= push;
-            graph_[size_t(v)][size_t(e.rev)].cap += push;
-            totalCost_ += push * e.cost;
-        }
-        shipped += push;
+        while (shipped < total && levelGraph(src, dst))
+            shipped += blockingFlow(src, dst);
     }
     return true;
 }

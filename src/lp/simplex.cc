@@ -60,9 +60,25 @@ class Tableau
             }
             if (enter >= 0)
                 pivot(i, enter);
-            // Otherwise the row is redundant; leave the artificial at 0.
         }
-        // Drop artificial columns.
+        // A row whose artificial is still basic is zero on every real
+        // column (a redundant equality): drop it, since phase 2 has no
+        // cost for artificial columns. Then drop artificial columns.
+        int kept = 0;
+        for (int i = 0; i < m_; i++) {
+            if (basis_[i] >= n_)
+                continue;
+            if (kept != i) {
+                a_[size_t(kept)] = std::move(a_[i]);
+                b_[size_t(kept)] = b_[i];
+                basis_[size_t(kept)] = basis_[i];
+            }
+            kept++;
+        }
+        m_ = kept;
+        a_.resize(size_t(m_));
+        b_.resize(size_t(m_));
+        basis_.resize(size_t(m_));
         for (int r = 0; r < m_; r++)
             a_[r].resize(size_t(n_));
         return true;
@@ -122,7 +138,7 @@ class Tableau
     double
     iterate(const std::vector<double> &cost)
     {
-        int width = int(a_[0].size());
+        const int width = int(cost.size());
         while (true) {
             // Reduced costs: r_j = c_j - c_B . B^-1 A_j. The tableau
             // keeps B^-1 A in a_, so compute directly.
