@@ -21,12 +21,11 @@
  * shortest path per Dijkstra would return, in one Dijkstra per
  * distance level.
  *
- * The LP has many optimal duals, and the capped update
- * pi[v] += min(dist[v], dist[dst]) (after the Bellman-Ford start)
- * decides which one is returned — and so where delay matching and
- * rewireBroadcasts place registers. A later solver change must keep
- * it: scaling methods, network simplex or a warm start each return a
- * different optimum and change the generated Verilog.
+ * The LP has many optimal duals. This potential rule (Bellman-Ford
+ * start, capped update) decides which one is returned, and so where
+ * delay matching and rewireBroadcasts place registers. A later solver
+ * change must keep it: scaling methods, network simplex or a warm
+ * start each return a different optimum and change the Verilog.
  */
 
 #ifndef LEGO_LP_NETFLOW_HH

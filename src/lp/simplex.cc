@@ -64,21 +64,14 @@ class Tableau
         // A row whose artificial is still basic is zero on every real
         // column (a redundant equality): drop it, since phase 2 has no
         // cost for artificial columns. Then drop artificial columns.
-        int kept = 0;
-        for (int i = 0; i < m_; i++) {
-            if (basis_[i] >= n_)
-                continue;
-            if (kept != i) {
-                a_[size_t(kept)] = std::move(a_[i]);
-                b_[size_t(kept)] = b_[i];
-                basis_[size_t(kept)] = basis_[i];
+        for (int i = m_ - 1; i >= 0; i--) {
+            if (basis_[i] >= n_) {
+                a_.erase(a_.begin() + i);
+                b_.erase(b_.begin() + i);
+                basis_.erase(basis_.begin() + i);
             }
-            kept++;
         }
-        m_ = kept;
-        a_.resize(size_t(m_));
-        b_.resize(size_t(m_));
-        basis_.resize(size_t(m_));
+        m_ = int(a_.size());
         for (int r = 0; r < m_; r++)
             a_[r].resize(size_t(n_));
         return true;

@@ -463,9 +463,9 @@ TEST(MinCostFlow, InfeasibleByCapacity)
  * potentials: an arc with residual capacity has reduced cost >= 0,
  * an arc carrying flow has reduced cost <= 0 (its reverse residual).
  */
-template <class Flow>
 void
-expectOptimalDual(const Flow &f, const std::vector<std::array<Int, 4>> &arcs,
+expectOptimalDual(const MinCostFlow &f,
+                  const std::vector<std::array<Int, 4>> &arcs,
                   const std::string &what)
 {
     for (size_t a = 0; a < arcs.size(); a++) {
