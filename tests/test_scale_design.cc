@@ -6,7 +6,9 @@
  * checked by the interpreter. The expected register bits, final cost
  * and Verilog hash were recorded from the seed successive-shortest-
  * path solver; any change to delay matching or the LP solvers that
- * moves a register shows up here.
+ * moves a register shows up here. The interpreter's statistics
+ * (cycles, reads, writes, pipeline depth) were recorded from the
+ * per-node-history interpreter and pin its cycle-level behaviour.
  */
 
 #include <gtest/gtest.h>
@@ -39,7 +41,12 @@ TEST(ScaleDesign, GemmIcoc32x32Identical)
     std::string rtl = emitVerilog(gen, "lego_GEMM_ICOC_32x32");
 
     EXPECT_TRUE(delaysMatched(gen.dag));
-    EXPECT_TRUE(verifyAgainstReference(gen, adg, 0, 1));
+    InterpStats st;
+    EXPECT_TRUE(verifyAgainstReference(gen, adg, 0, 1, &st));
+    EXPECT_EQ(st.cycles, 271);
+    EXPECT_EQ(st.reads, 270336);
+    EXPECT_EQ(st.writes, 8192);
+    EXPECT_EQ(st.pipelineDepth, 11);
     EXPECT_EQ(rep.matchStats.insertedRegBits, 30800);
 
     const DagCost &c = rep.final;

@@ -171,5 +171,24 @@ TEST(Reference, DepthwiseConv)
     EXPECT_EQ(y.at({0, 1, 2, 1}), acc);
 }
 
+TEST(Reference, MappingBelowTensorExtentPanics)
+{
+    // X[i-1, k] reaches row -1 at i = 0.
+    Workload w = makeGemm(3, 4, 5);
+    w.mappings[size_t(w.tensorIndex("X"))].bias = {-1, 0};
+    TensorSet ts = makeInputs(w, 1);
+    EXPECT_THROW(runReference(w, ts), PanicError);
+}
+
+TEST(Reference, MappingPastTensorExtentPanics)
+{
+    // Tensors sized for GEMM, then W read as W[k+1, j]: the last k
+    // reaches one row past W's extent.
+    Workload w = makeGemm(3, 4, 5);
+    TensorSet ts = makeInputs(w, 1);
+    w.mappings[size_t(w.tensorIndex("W"))].bias = {1, 0};
+    EXPECT_THROW(runReference(w, ts), PanicError);
+}
+
 } // namespace
 } // namespace lego
