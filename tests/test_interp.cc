@@ -359,6 +359,95 @@ TEST(Interp, MatchesReferenceInterpOnFig10Designs)
     }
 }
 
+TEST(Interp, OutOfRangeAddressPanics)
+{
+    // Push one memory port's address generator past the end of its
+    // tensor: the interpreter must fail, naming the port, rather
+    // than read or write outside the tensor.
+    Workload w = makeGemm(8, 8, 8);
+    DataflowSpec spec =
+        makeSimpleSpec(w, "gemm_ij", {{"i", 4}, {"j", 4}}, false);
+    Adg adg = generateArchitecture({{&w, buildDataflow(w, spec)}});
+    CodegenResult gen = codegen(adg);
+    runDelayMatching(gen.dag);
+    ASSERT_TRUE(verifyAgainstReference(gen, adg, 0, kSeeds[0]));
+
+    std::vector<int> gens = gen.dag.nodesOf(PrimOp::AddrGen);
+    auto used = std::find_if(gens.begin(), gens.end(), [&](int v) {
+        return gen.dag.node(v).addr.at(0).valid;
+    });
+    ASSERT_NE(used, gens.end());
+    gen.dag.node(*used).addr[0].bias += 1 << 20;
+    TensorSet ts = makeInputs(w, kSeeds[0]);
+    EXPECT_THROW(runOnHardware(gen, adg, 0, ts), PanicError);
+}
+
+TEST(Interp, SameCycleReadFollowsEvaluationOrder)
+{
+    // An edge inactive in the config does not order the topological
+    // sort, yet it is still the edge its pin reads. With no delay, its
+    // producer's value of the current cycle only exists if the
+    // producer was evaluated first; here it comes later, so the sum
+    // is undefined and nothing is written.
+    Workload w = makeGemm(4, 4, 4);
+    DataflowSpec spec =
+        makeSimpleSpec(w, "gemm_ij", {{"i", 2}, {"j", 2}}, false);
+    Adg adg = generateArchitecture({{&w, buildDataflow(w, spec)}});
+
+    CodegenResult gen;
+    gen.dag = Dag(1);
+    Dag &dag = gen.dag;
+    auto node = [&](PrimOp op, const std::string &name) {
+        DagNode n;
+        n.op = op;
+        n.name = name;
+        n.constValue = 5;
+        return dag.addNode(n);
+    };
+    auto edge = [&](int from, int to, int pin, bool active) {
+        DagEdge e;
+        e.from = from;
+        e.to = to;
+        e.toPin = pin;
+        e.active = {active};
+        return dag.addEdge(e);
+    };
+    const int sum = node(PrimOp::Add, "sum");
+    const int tap = node(PrimOp::Tap, "tap");
+    const int five = node(PrimOp::Const, "five");
+    const int zero = node(PrimOp::Const, "zero");
+    dag.node(zero).constValue = 0;
+    const int store = node(PrimOp::MemWrite, "store");
+    edge(five, sum, 1, true); // Orders sum before tap.
+    edge(five, tap, 0, true);
+    const int feedback = edge(tap, sum, 0, false);
+    edge(sum, store, 0, true);
+    edge(zero, store, 1, true);
+    dag.validate();
+    std::vector<int> order = dag.topoOrder(0);
+    ASSERT_LT(std::find(order.begin(), order.end(), sum),
+              std::find(order.begin(), order.end(), tap));
+
+    TensorSet want = makeInputs(w, 1), got = makeInputs(w, 1);
+    InterpStats ws = ReferenceInterp(gen, adg, 0, want);
+    InterpStats gs = runOnHardware(gen, adg, 0, got);
+    EXPECT_EQ(ws.writes, 0);
+    EXPECT_EQ(gs.writes, ws.writes);
+    expectSameTensors(got, want, "same-cycle read");
+
+    // With one register on the edge the previous cycle's value is
+    // defined, and every cycle stores 5 + 5.
+    dag.edge(feedback).regs = 1;
+    want = makeInputs(w, 1);
+    got = makeInputs(w, 1);
+    ws = ReferenceInterp(gen, adg, 0, want);
+    gs = runOnHardware(gen, adg, 0, got);
+    EXPECT_EQ(ws.writes, ws.cycles - 1);
+    EXPECT_EQ(gs.writes, ws.writes);
+    EXPECT_EQ(got[w.outputTensor()].flat(0), 10);
+    expectSameTensors(got, want, "registered read");
+}
+
 TEST(Reference, MatchesLoopNestOracleOnFig10Workloads)
 {
     std::vector<NamedDesign> designs = fig10Designs();
