@@ -13,6 +13,17 @@
  * delay = static pipeline registers + per-config programmed depth.
  * Values before cycle 0 are the undefined sentinel, which propagates
  * and gates memory writes (pipeline fill never corrupts memory).
+ *
+ * A run has two steps. Elaboration turns the config into a flat
+ * program once: the live nodes in topological order, each input pin
+ * resolved to its producer and look-back L_v + delay (from the first
+ * non-dead edge on the pin), and the per-config payload picked out
+ * (address coefficients and radix, FIFO offsets, mux selects, reduce
+ * pins, the bound tensor). The cycle loop then runs that program.
+ * No read looks back more than max(L_v + delay) cycles, so the
+ * history is a ring of that many rows plus one, not a nodes x cycles
+ * array. Every memory port checks its address against its tensor's
+ * size and panics, naming the node, on an address outside it.
  */
 
 #ifndef LEGO_BACKEND_INTERP_HH

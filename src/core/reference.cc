@@ -19,20 +19,19 @@ makeInputs(const Workload &w, unsigned seed)
     return ts;
 }
 
-void
-applyBody(const Workload &w, TensorSet &ts, const IntVec &iter)
+namespace
 {
-    const int out = w.outputTensor();
-    std::vector<int> in = w.inputTensors();
-    IntVec yidx = w.mappings[out].apply(iter);
-    Int &y = ts[out].at(yidx);
 
-    auto operand = [&](int k) {
-        int t = in[size_t(k)];
-        return ts[t].at(w.mappings[t].apply(iter));
-    };
-
-    switch (w.op) {
+/**
+ * The loop body on one point: update the output element `y` from the
+ * operands, `operand(k)` giving input k (read only for the inputs the
+ * op consumes).
+ */
+template <typename Operand>
+void
+body(OpKind op, Int &y, const Operand &operand)
+{
+    switch (op) {
       case OpKind::Mac:
         y += operand(0) * operand(1);
         break;
@@ -51,9 +50,6 @@ applyBody(const Workload &w, TensorSet &ts, const IntVec &iter)
         break;
     }
 }
-
-namespace
-{
 
 /**
  * One tensor operand of the loop body, flattened: its element at
@@ -128,6 +124,21 @@ advance(IntVec &v, const IntVec &radix)
 } // namespace
 
 void
+applyBody(const Workload &w, TensorSet &ts, const IntVec &iter)
+{
+    const int out = w.outputTensor();
+    std::vector<int> in = w.inputTensors();
+    IntVec yidx = w.mappings[out].apply(iter);
+    Int &y = ts[out].at(yidx);
+
+    auto operand = [&](int k) {
+        int t = in[size_t(k)];
+        return ts[t].at(w.mappings[t].apply(iter));
+    };
+    body(w.op, y, operand);
+}
+
+void
 runReference(const Workload &w, TensorSet &ts)
 {
     const int nd = int(w.iterSizes.size());
@@ -154,24 +165,7 @@ runReference(const Workload &w, TensorSet &ts)
     IntVec iter(size_t(nd), 0);
     int pos;
     do {
-        Int &y = ops[0].data[ops[0].off];
-        switch (w.op) {
-          case OpKind::Mac:
-            y += operand(0) * operand(1);
-            break;
-          case OpKind::MulMulAdd:
-            y += operand(0) * operand(1) * operand(2);
-            break;
-          case OpKind::MulShiftAdd:
-            // Multiply by 2^shift, as applyBody does: no UB on a
-            // negative product.
-            y += (operand(0) * operand(1)) *
-                 (Int(1) << (operand(2) & 0x3));
-            break;
-          case OpKind::MaxReduce:
-            y = std::max(y, operand(0));
-            break;
-        }
+        body(w.op, ops[0].data[ops[0].off], operand);
         for (pos = nd - 1; pos >= 0; pos--) {
             const size_t d = size_t(pos);
             if (++iter[d] < w.iterSizes[d]) {

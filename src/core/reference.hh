@@ -35,7 +35,12 @@ TensorSet makeInputs(const Workload &w, unsigned seed);
 /** Apply the loop body once at computation iteration point `iter`. */
 void applyBody(const Workload &w, TensorSet &ts, const IntVec &iter);
 
-/** Execute the full loop nest in canonical order. */
+/**
+ * Execute the full loop nest in canonical (row-major) order. Each
+ * tensor's affine mapping is folded into flat row-major offsets, and
+ * every index it can produce over the iteration box is proved inside
+ * the tensor once per call, before any point runs; panics otherwise.
+ */
 void runReference(const Workload &w, TensorSet &ts);
 
 /**
