@@ -279,7 +279,7 @@ runOnHardware(const CodegenResult &gen, const Adg &adg, int cfg,
 {
     const Dag &dag = gen.dag;
     const Program prog = elaborate(dag, adg, cfg, ts);
-    const Int steps = adg.configs[size_t(cfg)].map.timeSteps();
+    const Int time_steps = adg.configs[size_t(cfg)].map.timeSteps();
 
     InterpStats stats;
     stats.cycles = prog.cycles;
@@ -328,7 +328,7 @@ runOnHardware(const CodegenResult &gen, const Adg &adg, int cfg,
               case Kind::AddrGen: {
                 Int local = in(0);
                 if (local == kUndef || !s.valid || local < 0 ||
-                    local >= steps) {
+                    local >= time_steps) {
                     out = kInvalidAddr;
                     break;
                 }
@@ -344,7 +344,7 @@ runOnHardware(const CodegenResult &gen, const Adg &adg, int cfg,
               }
               case Kind::Valid: {
                 Int local = in(0);
-                if (local == kUndef || local < 0 || local >= steps) {
+                if (local == kUndef || local < 0 || local >= time_steps) {
                     out = 0;
                     break;
                 }

@@ -303,7 +303,7 @@ ReferenceLoopNest(const Workload &w, TensorSet &ts)
     }
 }
 
-constexpr unsigned kSeeds[] = {1, 7, 20261017};
+constexpr unsigned kSeeds[] = {1, 7, 99};
 
 void
 expectSameTensors(const TensorSet &a, const TensorSet &b,
