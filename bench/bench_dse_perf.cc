@@ -75,16 +75,11 @@ namespace
 struct SweepNumbers
 {
     std::string name;
-    std::uint64_t modelEvals = 0;      //!< runLayerWithEff calls (optimized).
+    /** The optimized run's counter deltas (serve_replay: summed
+     *  over its warm pass's requests). */
+    dse::CacheCounters cache;
+    dse::EvalCounters eval;
     std::uint64_t naiveModelEvals = 0; //!< Same sweep, naive policy.
-    std::uint64_t l0Hits = 0;
-    std::uint64_t l0Misses = 0;
-    std::uint64_t l1Hits = 0;
-    std::uint64_t l1Misses = 0;
-    std::uint64_t mappingsPruned = 0;
-    std::uint64_t dataflowsPruned = 0;
-    std::uint64_t layersDeduped = 0;
-    std::uint64_t crossModelDeduped = 0;
     std::uint64_t frontierPoints = 0;
     /** Warm-pass frontier-memo hit share (serve_replay only). */
     double warmFrontHitRate = 0;
@@ -107,9 +102,9 @@ struct SweepNumbers
         // result; report it as the naive count (the ratio against
         // one eval) so the metric stays monotone instead of
         // collapsing to a worst-looking 0.
-        if (modelEvals == 0)
+        if (eval.modelEvals == 0)
             return double(naiveModelEvals);
-        return double(naiveModelEvals) / double(modelEvals);
+        return double(naiveModelEvals) / double(eval.modelEvals);
     }
 };
 
@@ -158,42 +153,22 @@ sameFrontier(const dse::ParetoArchive &a, const dse::ParetoArchive &b)
 // Schedule equality is the shared lego::sameSchedule — the same
 // comparator the serve loop's replay identities are pinned with.
 
-/** Counter snapshot so every sweep reports deltas, not lifetimes. */
-struct CounterSnap
+/** Run f() on `engine`; its wall time and counter deltas land in
+ *  *s. Returns f's result. */
+template <class F>
+auto
+measure(SweepNumbers *s, dse::DseEngine &engine, F &&f)
 {
-    std::uint64_t l0h = 0, l0m = 0, l1h = 0, l1m = 0;
-    dse::EvalCounters ec;
-};
-
-CounterSnap
-snapCounters(dse::DseEngine &engine)
-{
-    CounterSnap c;
-    c.l0h = engine.cache().l0Hits();
-    c.l0m = engine.cache().l0Misses();
-    c.l1h = engine.cache().hits();
-    c.l1m = engine.cache().misses();
-    c.ec = engine.evaluator().counters();
-    return c;
-}
-
-void
-fillCounters(SweepNumbers *s, dse::DseEngine &engine,
-             const CounterSnap &c0)
-{
-    CounterSnap c1 = snapCounters(engine);
-    s->modelEvals = c1.ec.modelEvals - c0.ec.modelEvals;
-    s->l0Hits = c1.l0h - c0.l0h;
-    s->l0Misses = c1.l0m - c0.l0m;
-    s->l1Hits = c1.l1h - c0.l1h;
-    s->l1Misses = c1.l1m - c0.l1m;
-    s->mappingsPruned =
-        c1.ec.mappingsPruned - c0.ec.mappingsPruned;
-    s->dataflowsPruned =
-        c1.ec.dataflowsPruned - c0.ec.dataflowsPruned;
-    s->layersDeduped = c1.ec.layersDeduped - c0.ec.layersDeduped;
-    s->crossModelDeduped =
-        c1.ec.crossModelDeduped - c0.ec.crossModelDeduped;
+    const dse::CacheCounters c0 = engine.cache().counters();
+    const dse::EvalCounters e0 = engine.evaluator().counters();
+    const auto t0 = std::chrono::steady_clock::now();
+    auto out = f();
+    s->wallSeconds = std::chrono::duration<double>(
+                         std::chrono::steady_clock::now() - t0)
+                         .count();
+    s->cache = engine.cache().counters() - c0;
+    s->eval = engine.evaluator().counters() - e0;
+    return out;
 }
 
 /** The timeloop_dse hardware sweep: exhaustive Eyeriss-box x RN50. */
@@ -215,10 +190,8 @@ sweepTimeloopExhaustive(const Model &rn50)
     dse::DseOptions opt;
     opt.threads = 1;
     dse::DseEngine engine(opt);
-    CounterSnap c0 = snapCounters(engine);
-    dse::DseResult ro = engine.explore(space, rn50);
-    fillCounters(&s, engine, c0);
-    s.wallSeconds = ro.stats.wallSeconds;
+    dse::DseResult ro =
+        measure(&s, engine, [&] { return engine.explore(space, rn50); });
     s.frontierPoints = ro.archive.size();
     s.identicalOutput = sameFrontier(rn.archive, ro.archive);
     return s;
@@ -248,13 +221,8 @@ sweepMappingSearch(const Model &rn50)
     dse::DseOptions opt;
     opt.threads = 1;
     dse::DseEngine engine(opt);
-    CounterSnap c0 = snapCounters(engine);
-    t0 = std::chrono::steady_clock::now();
-    ScheduleResult b = engine.mapModel(eyeriss, rn50);
-    s.wallSeconds = std::chrono::duration<double>(
-                        std::chrono::steady_clock::now() - t0)
-                        .count();
-    fillCounters(&s, engine, c0);
+    ScheduleResult b =
+        measure(&s, engine, [&] { return engine.mapModel(eyeriss, rn50); });
     s.identicalOutput = sameSchedule(a, b);
     return s;
 }
@@ -279,14 +247,9 @@ sweepMappingSearchWarm(const Model &rn50)
 
     // No separate naive engine here: the interesting numbers are 0
     // model evaluations and an all-L0 hit path.
-    CounterSnap c0 = snapCounters(engine);
-    auto t0 = std::chrono::steady_clock::now();
-    ScheduleResult warm = engine.mapModel(eyeriss, rn50);
-    s.wallSeconds = std::chrono::duration<double>(
-                        std::chrono::steady_clock::now() - t0)
-                        .count();
-    fillCounters(&s, engine, c0);
-    s.naiveModelEvals = s.modelEvals;
+    ScheduleResult warm =
+        measure(&s, engine, [&] { return engine.mapModel(eyeriss, rn50); });
+    s.naiveModelEvals = s.eval.modelEvals;
     s.naiveWallSeconds = s.wallSeconds;
     s.identicalOutput = sameSchedule(cold, warm);
     return s;
@@ -317,13 +280,8 @@ sweepBert()
     dse::DseOptions opt;
     opt.threads = 1;
     dse::DseEngine engine(opt);
-    CounterSnap c0 = snapCounters(engine);
-    t0 = std::chrono::steady_clock::now();
-    ScheduleResult b = engine.mapModel(hw, bert);
-    s.wallSeconds = std::chrono::duration<double>(
-                        std::chrono::steady_clock::now() - t0)
-                        .count();
-    fillCounters(&s, engine, c0);
+    ScheduleResult b =
+        measure(&s, engine, [&] { return engine.mapModel(hw, bert); });
     s.identicalOutput = sameSchedule(a, b);
     return s;
 }
@@ -362,13 +320,9 @@ sweepFrontierSearch(const Model &rn50)
     opt.threads = 1;
     opt.compose.frontierK = 8;
     dse::DseEngine engine(opt);
-    CounterSnap c0 = snapCounters(engine);
-    t0 = std::chrono::steady_clock::now();
-    ScheduleResult b = engine.mapModelComposed(eyeriss, rn50);
-    s.wallSeconds = std::chrono::duration<double>(
-                        std::chrono::steady_clock::now() - t0)
-                        .count();
-    fillCounters(&s, engine, c0);
+    ScheduleResult b =
+        measure(&s, engine,
+                [&] { return engine.mapModelComposed(eyeriss, rn50); });
     s.frontierPoints = b.compose.frontierPoints;
 
     // The scalar schedule from an untouched engine: the frontier
@@ -420,13 +374,8 @@ sweepMultiModel()
     dse::DseOptions opt;
     opt.threads = 1;
     dse::DseEngine engine(opt);
-    CounterSnap c0 = snapCounters(engine);
-    t0 = std::chrono::steady_clock::now();
-    std::vector<ScheduleResult> shared = engine.mapZoo(hw, zoo);
-    s.wallSeconds = std::chrono::duration<double>(
-                        std::chrono::steady_clock::now() - t0)
-                        .count();
-    fillCounters(&s, engine, c0);
+    std::vector<ScheduleResult> shared =
+        measure(&s, engine, [&] { return engine.mapZoo(hw, zoo); });
     s.identicalOutput = shared.size() == 3 &&
                         sameSchedule(na, shared[0]) &&
                         sameSchedule(ne, shared[1]) &&
@@ -492,13 +441,13 @@ sweepServeReplay()
         const dse::DseStats &ws = warm[i].stats.dse;
         warmLatencyMs.push_back(ws.wallSeconds * 1e3);
         s.naiveModelEvals += cs.modelEvals;
-        s.modelEvals += ws.modelEvals;
-        s.l0Hits += ws.l0Hits;
-        s.l0Misses += ws.l0Misses;
-        s.l1Hits += ws.cacheHits;
-        s.l1Misses += ws.cacheMisses;
-        s.layersDeduped += ws.layersDeduped;
-        s.crossModelDeduped += ws.crossModelDeduped;
+        s.eval.modelEvals += ws.modelEvals;
+        s.cache.l0Hits += ws.l0Hits;
+        s.cache.l0Misses += ws.l0Misses;
+        s.cache.hits += ws.hits;
+        s.cache.misses += ws.misses;
+        s.eval.layersDeduped += ws.layersDeduped;
+        s.eval.crossModelDeduped += ws.crossModelDeduped;
         frontHits += ws.frontHits;
         frontLookups += ws.frontHits + ws.frontMisses;
         // No request in this sweep carries a deadline and the queue
@@ -586,7 +535,7 @@ sweepCacheEviction()
     dse::Evaluator ev(&cache);
     replay(ev); // Cold: fills past the bound, eviction batches fire.
     n.boundedWarmRate = warmRate(ev, cache);
-    n.evictions = cache.evictions();
+    n.evictions = cache.counters().evictions;
     n.residentBytes = cache.residentBytes();
     n.ok = n.evictions > 0 && n.residentBytes <= n.capBytes &&
            n.boundedWarmRate >= n.unboundedWarmRate - 0.10;
@@ -639,13 +588,9 @@ sweepSegmentPipeline(const Model &rn50)
     segOpt.threads = 1;
     segOpt.compose.segment.enable = true;
     dse::DseEngine segEngine(segOpt);
-    CounterSnap c0 = snapCounters(segEngine);
-    t0 = std::chrono::steady_clock::now();
-    ScheduleResult seg = segEngine.mapModelComposed(hw, rn50);
-    s.wallSeconds = std::chrono::duration<double>(
-                        std::chrono::steady_clock::now() - t0)
-                        .count();
-    fillCounters(&s, segEngine, c0);
+    ScheduleResult seg =
+        measure(&s, segEngine,
+                [&] { return segEngine.mapModelComposed(hw, rn50); });
 
     for (const Segment &g : seg.segments)
         if (g.pipelined())
@@ -854,16 +799,16 @@ writeJson(const std::string &path,
             "      \"energy_ratio\": %.4f,\n"
             "      \"identical_output\": %s\n"
             "    }%s\n",
-            s.name.c_str(), (unsigned long long)s.modelEvals,
+            s.name.c_str(), (unsigned long long)s.eval.modelEvals,
             (unsigned long long)s.naiveModelEvals, s.reduction(),
-            (unsigned long long)s.l0Hits,
-            (unsigned long long)s.l0Misses,
-            (unsigned long long)s.l1Hits,
-            (unsigned long long)s.l1Misses,
-            (unsigned long long)s.mappingsPruned,
-            (unsigned long long)s.dataflowsPruned,
-            (unsigned long long)s.layersDeduped,
-            (unsigned long long)s.crossModelDeduped,
+            (unsigned long long)s.cache.l0Hits,
+            (unsigned long long)s.cache.l0Misses,
+            (unsigned long long)s.cache.hits,
+            (unsigned long long)s.cache.misses,
+            (unsigned long long)s.eval.mappingsPruned,
+            (unsigned long long)s.eval.dataflowsPruned,
+            (unsigned long long)s.eval.layersDeduped,
+            (unsigned long long)s.eval.crossModelDeduped,
             (unsigned long long)s.frontierPoints,
             s.warmFrontHitRate, s.wallSeconds,
             s.naiveWallSeconds, s.p50Ms, s.p95Ms, s.p99Ms,
@@ -962,22 +907,22 @@ main(int argc, char **argv)
         std::printf("=== %s ===\n", s.name.c_str());
         std::printf("model evals: %llu (naive %llu, %.1fx "
                     "reduction)\n",
-                    (unsigned long long)s.modelEvals,
+                    (unsigned long long)s.eval.modelEvals,
                     (unsigned long long)s.naiveModelEvals,
                     s.reduction());
         std::printf("cache: L0 %llu hits / %llu misses, L1 %llu "
                     "hits / %llu misses\n",
-                    (unsigned long long)s.l0Hits,
-                    (unsigned long long)s.l0Misses,
-                    (unsigned long long)s.l1Hits,
-                    (unsigned long long)s.l1Misses);
+                    (unsigned long long)s.cache.l0Hits,
+                    (unsigned long long)s.cache.l0Misses,
+                    (unsigned long long)s.cache.hits,
+                    (unsigned long long)s.cache.misses);
         std::printf("pruned: %llu tilings (%llu whole dataflows), "
                     "deduped: %llu layer instances (%llu "
                     "cross-model)\n",
-                    (unsigned long long)s.mappingsPruned,
-                    (unsigned long long)s.dataflowsPruned,
-                    (unsigned long long)s.layersDeduped,
-                    (unsigned long long)s.crossModelDeduped);
+                    (unsigned long long)s.eval.mappingsPruned,
+                    (unsigned long long)s.eval.dataflowsPruned,
+                    (unsigned long long)s.eval.layersDeduped,
+                    (unsigned long long)s.eval.crossModelDeduped);
         std::printf("wall: %.3fs (naive %.3fs)\n", s.wallSeconds,
                     s.naiveWallSeconds);
         std::printf("identical output: %s\n\n",
@@ -991,11 +936,11 @@ main(int argc, char **argv)
             std::uint64_t base = 0;
             if (baselineModelEvals(baselineText, s.name, &base)) {
                 // >10% regression in evaluation count fails CI.
-                if (double(s.modelEvals) > 1.10 * double(base)) {
+                if (double(s.eval.modelEvals) > 1.10 * double(base)) {
                     std::printf("FAIL: %s model_evals %llu regressed "
                                 ">10%% over baseline %llu\n",
                                 s.name.c_str(),
-                                (unsigned long long)s.modelEvals,
+                                (unsigned long long)s.eval.modelEvals,
                                 (unsigned long long)base);
                     ok = false;
                 }
@@ -1022,11 +967,11 @@ main(int argc, char **argv)
                     100.0 * serveSweep.warmFrontHitRate);
         ok = false;
     }
-    if (serveSweep.modelEvals != 0) {
+    if (serveSweep.eval.modelEvals != 0) {
         std::printf("FAIL: %s warm pass ran %llu model evaluations "
                     "(want 0)\n",
                     serveSweep.name.c_str(),
-                    (unsigned long long)serveSweep.modelEvals);
+                    (unsigned long long)serveSweep.eval.modelEvals);
         ok = false;
     }
 

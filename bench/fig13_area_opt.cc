@@ -90,7 +90,7 @@ main()
                 "cache %llu hits)\n",
                 r.archive.size(), r.stats.evaluated,
                 r.stats.wallSeconds,
-                (unsigned long long)r.stats.cacheHits);
+                (unsigned long long)r.stats.hits);
 
     // ---- feasibility-pruned exploration of a widened L1 sweep ------
     // Undersized L1 options cannot hold even the smallest tile of

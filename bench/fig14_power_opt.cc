@@ -90,7 +90,7 @@ main()
                 "cache %llu hits)\n",
                 r.archive.size(), r.stats.evaluated,
                 r.stats.wallSeconds,
-                (unsigned long long)r.stats.cacheHits);
+                (unsigned long long)r.stats.hits);
 
     // ---- genetic search vs the exhaustive frontier -----------------
     // SparseMap-style evolution over the candidate digits should get

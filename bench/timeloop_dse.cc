@@ -97,7 +97,7 @@ main()
     std::printf("memo cache: %zu unique layer-mapping costings "
                 "(%llu hits)\n",
                 mappingEngine.cache().size(),
-                (unsigned long long)mappingEngine.cache().hits());
+                (unsigned long long)mappingEngine.cache().counters().hits);
 
     // ---- 2. hardware DSE in the Eyeriss-equivalent box -------------
     std::printf("\n=== Hardware DSE, Eyeriss-equivalent resource box "
@@ -112,8 +112,8 @@ main()
     std::printf("evaluated %zu candidates, frontier %zu points, "
                 "cache %llu hits / %llu misses, %.2fs\n",
                 r.stats.evaluated, r.archive.size(),
-                (unsigned long long)r.stats.cacheHits,
-                (unsigned long long)r.stats.cacheMisses,
+                (unsigned long long)r.stats.hits,
+                (unsigned long long)r.stats.misses,
                 r.stats.wallSeconds);
     std::printf("hot path: %llu model evals, %llu tilings pruned "
                 "(%llu whole dataflows), %llu layers deduped, "
@@ -177,24 +177,24 @@ main()
     std::printf("cold run: %zu evals (%zu pruned), %llu hits / %llu "
                 "misses, cache of %zu costings %s\n",
                 rc.stats.evaluated, rc.stats.pruned,
-                (unsigned long long)rc.stats.cacheHits,
-                (unsigned long long)rc.stats.cacheMisses,
+                (unsigned long long)rc.stats.hits,
+                (unsigned long long)rc.stats.misses,
                 cold.cache().size(),
                 saved ? "saved" : "NOT SAVED");
     dse::DseEngine warm(copt); // Warm-starts from the file.
     dse::DseResult rw = warm.explore(space, rn50);
     double lookups =
-        double(rw.stats.cacheHits + rw.stats.cacheMisses);
+        double(rw.stats.hits + rw.stats.misses);
     double hitRate =
-        lookups > 0 ? double(rw.stats.cacheHits) / lookups : 0.0;
+        lookups > 0 ? double(rw.stats.hits) / lookups : 0.0;
     bool warmOk = saved && sameFrontier(rc.archive, rw.archive) &&
                   hitRate > 0.9;
     std::printf("warm run: %zu evals, %llu hits / %llu misses "
                 "(%.1f%% hit rate), identical frontier, >90%% hits: "
                 "%s\n",
                 rw.stats.evaluated,
-                (unsigned long long)rw.stats.cacheHits,
-                (unsigned long long)rw.stats.cacheMisses,
+                (unsigned long long)rw.stats.hits,
+                (unsigned long long)rw.stats.misses,
                 100.0 * hitRate, warmOk ? "yes" : "NO");
     std::remove(cachePath.c_str());
 

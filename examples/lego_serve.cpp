@@ -352,7 +352,7 @@ runChaosPass(const std::vector<TraceLine> &lines,
     pass.responses = loop.responses();
     for (const serve::ServeResponse &r : pass.responses)
         pass.modelEvals += r.stats.dse.modelEvals;
-    pass.quarantined = loop.engine().cache().quarantined();
+    pass.quarantined = loop.engine().cache().counters().quarantined;
     pass.flushOk = loop.shutdown();
     return pass;
 }

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <tuple>
 #include <utility>
 
@@ -182,9 +183,6 @@ headerIntact(const std::uint64_t (&hdr)[kHeaderWords])
 struct NoCheck
 {
 };
-
-using CacheCounter = std::atomic<std::uint64_t> CostCache::*;
-using StatSlot = std::atomic<std::uint64_t> StatsContext::*;
 
 /** Heap words of a kind-K record holding `items` items. */
 template <class K>
@@ -459,7 +457,7 @@ makeSegmentKey(const HardwareConfig &hw,
  *    items. Kinds without one store the value inline;
  *  - put/decode: the value's payload words (inline or heap);
  *  - kTable: its table in each Shard;
- *  - the CostCache and StatsContext counters its traffic bumps.
+ *  - the counters (counters.hh rows) its traffic bumps.
  */
 
 struct CostCache::ScalarKind
@@ -474,17 +472,13 @@ struct CostCache::ScalarKind
     static constexpr std::uint64_t kItemWords = 0;
     static constexpr std::uint64_t kTailWords = 0;
     static constexpr auto kTable = &Shard::map;
-    static constexpr CacheCounter kHits = &CostCache::hits_;
-    static constexpr CacheCounter kMisses = &CostCache::misses_;
-    static constexpr CacheCounter kInserts = &CostCache::inserts_;
-    static constexpr CacheCounter kSharedHits = &CostCache::sharedHits_;
-    static constexpr CacheCounter kL0Hits = &CostCache::l0Hits_;
-    static constexpr CacheCounter kL0Misses = &CostCache::l0Misses_;
-    static constexpr StatSlot kCtxHits = &StatsContext::cacheHits;
-    static constexpr StatSlot kCtxMisses = &StatsContext::cacheMisses;
-    static constexpr StatSlot kCtxSharedHits = &StatsContext::sharedHits;
-    static constexpr StatSlot kCtxL0Hits = &StatsContext::l0Hits;
-    static constexpr StatSlot kCtxL0Misses = &StatsContext::l0Misses;
+    static constexpr CounterId kHits = CounterId::hits;
+    static constexpr CounterId kMisses = CounterId::misses;
+    static constexpr CounterId kInserts = CounterId::inserts;
+    static constexpr CounterId kSharedHits = CounterId::sharedHits;
+    static constexpr CounterId kL0Hits = CounterId::l0Hits;
+    static constexpr std::optional<CounterId> kL0Misses =
+        CounterId::l0Misses;
 
     static std::uint64_t items(const Value &) { return 0; }
     static bool matches(const Value &, const Check &) { return true; }
@@ -511,20 +505,14 @@ struct CostCache::FrontierKind
      *  rejected at load instead of panicking mid-sweep later. */
     static constexpr std::uint64_t kMinItems = 1;
     static constexpr auto kTable = &Shard::fronts;
-    static constexpr CacheCounter kHits = &CostCache::frontHits_;
-    static constexpr CacheCounter kMisses = &CostCache::frontMisses_;
-    static constexpr CacheCounter kInserts = &CostCache::frontInserts_;
-    static constexpr CacheCounter kSharedHits =
-        &CostCache::sharedFrontHits_;
+    static constexpr CounterId kHits = CounterId::frontHits;
+    static constexpr CounterId kMisses = CounterId::frontMisses;
+    static constexpr CounterId kInserts = CounterId::frontInserts;
+    static constexpr CounterId kSharedHits = CounterId::sharedFrontHits;
     /** Frontier L0 hits count as frontier hits; L0 misses are not
      *  counted (the L1 lookup behind them counts a hit or a miss). */
-    static constexpr CacheCounter kL0Hits = &CostCache::frontHits_;
-    static constexpr CacheCounter kL0Misses = nullptr;
-    static constexpr StatSlot kCtxHits = &StatsContext::frontHits;
-    static constexpr StatSlot kCtxMisses = &StatsContext::frontMisses;
-    static constexpr StatSlot kCtxSharedHits =
-        &StatsContext::sharedFrontHits;
-    static constexpr StatSlot kCtxL0Hits = &StatsContext::frontHits;
+    static constexpr CounterId kL0Hits = CounterId::frontHits;
+    static constexpr std::optional<CounterId> kL0Misses = std::nullopt;
 
     static std::uint64_t items(const Value &v) { return v.size(); }
     static bool matches(const Value &, const Check &) { return true; }
@@ -567,15 +555,10 @@ struct CostCache::SegmentKind
     /** A segment record always has >= 2 stages. */
     static constexpr std::uint64_t kMinItems = 2;
     static constexpr auto kTable = &Shard::segs;
-    static constexpr CacheCounter kHits = &CostCache::segHits_;
-    static constexpr CacheCounter kMisses = &CostCache::segMisses_;
-    static constexpr CacheCounter kInserts = &CostCache::segInserts_;
-    static constexpr CacheCounter kSharedHits =
-        &CostCache::sharedSegHits_;
-    static constexpr StatSlot kCtxHits = &StatsContext::segHits;
-    static constexpr StatSlot kCtxMisses = &StatsContext::segMisses;
-    static constexpr StatSlot kCtxSharedHits =
-        &StatsContext::sharedSegHits;
+    static constexpr CounterId kHits = CounterId::segHits;
+    static constexpr CounterId kMisses = CounterId::segMisses;
+    static constexpr CounterId kInserts = CounterId::segInserts;
+    static constexpr CounterId kSharedHits = CounterId::sharedSegHits;
 
     static std::uint64_t items(const Value &v) { return v.id.size(); }
     static bool matches(const Value &v, const Check &stages)
@@ -941,8 +924,7 @@ CostCache::overCapacity() const
     const std::uint64_t mb = maxBytes_.load(std::memory_order_relaxed);
     const std::uint64_t me =
         maxEntries_.load(std::memory_order_relaxed);
-    return (mb != 0 &&
-            residentBytes_.load(std::memory_order_relaxed) > mb) ||
+    return (mb != 0 && residentBytes() > mb) ||
            (me != 0 &&
             entryCount_.load(std::memory_order_relaxed) > me);
 }
@@ -960,7 +942,7 @@ CostCache::enforceCapacity()
     if (!overCapacity())
         return;
     LEGO_TRACE_SPAN_ARG("cache.evict", "cache", "resident_bytes",
-                        residentBytes_.load());
+                        residentBytes());
 
     // Batch target: 7/8 of each bound, so inserts between batches
     // amortize the O(entries) candidate scan below.
@@ -970,9 +952,7 @@ CostCache::enforceCapacity()
     const std::uint64_t targetBytes = mb == 0 ? 0 : mb - mb / 8;
     const std::uint64_t targetEntries = me == 0 ? 0 : me - me / 8;
     auto overTarget = [&] {
-        return (mb != 0 && residentBytes_.load(
-                               std::memory_order_relaxed) >
-                               targetBytes) ||
+        return (mb != 0 && residentBytes() > targetBytes) ||
                (me != 0 &&
                 entryCount_.load(std::memory_order_relaxed) >
                     targetEntries);
@@ -1035,10 +1015,10 @@ CostCache::enforceCapacity()
             freed = c.evict(s, c.key, c.lastUse);
         }
         if (freed != 0) {
-            residentBytes_.fetch_sub(freed,
-                                     std::memory_order_relaxed);
+            stats_[CounterId::residentBytes].fetch_sub(
+                freed, std::memory_order_relaxed);
             entryCount_.fetch_sub(1, std::memory_order_relaxed);
-            bumpStat(evictions_, &StatsContext::evictions);
+            bumpStat(stats_, CounterId::evictions);
         }
     }
 }
@@ -1071,10 +1051,10 @@ CostCache::mapShared(bool countRemap)
         return false; // Raced with another refresher; keep theirs.
     const bool hadPrevious = shared_ != nullptr;
     shared_ = std::move(snap);
-    sharedGen_.store(shared_->generation(),
-                     std::memory_order_relaxed);
+    stats_[CounterId::generation].store(shared_->generation(),
+                                        std::memory_order_relaxed);
     if (countRemap && hadPrevious)
-        remaps_.fetch_add(1, std::memory_order_relaxed);
+        bumpStat(stats_, CounterId::remaps);
     return true;
 }
 
@@ -1085,7 +1065,8 @@ CostCache::attachShared(const std::string &path)
         std::lock_guard<std::mutex> lk(sharedMu_);
         sharedPath_ = path;
         shared_.reset();
-        sharedGen_.store(0, std::memory_order_relaxed);
+        stats_[CounterId::generation].store(0,
+                                            std::memory_order_relaxed);
     }
     sharedAttached_.store(true, std::memory_order_release);
     mapShared(/*countRemap=*/false);
@@ -1104,7 +1085,7 @@ CostCache::refreshShared()
     {
         std::lock_guard<std::mutex> lk(sharedMu_);
         path = sharedPath_;
-        current = sharedGen_.load(std::memory_order_relaxed);
+        current = sharedGeneration();
     }
     const int fd = ::open(path.c_str(), O_RDONLY);
     if (fd < 0)
@@ -1123,7 +1104,7 @@ CostCache::refreshShared()
 std::uint64_t
 CostCache::sharedGeneration() const
 {
-    return sharedGen_.load(std::memory_order_relaxed);
+    return stats_.load(CounterId::generation);
 }
 
 // ---- lookups / inserts ----------------------------------------------
@@ -1140,7 +1121,7 @@ CostCache::lookupIn(const CacheKey &key, const typename K::Check &check,
         auto it = table.find(key);
         if (it != table.end() && K::matches(it->second.val, check)) {
             it->second.lastUse = tick();
-            bumpStat(this->*K::kHits, K::kCtxHits);
+            bumpStat(stats_, K::kHits);
             *out = it->second.val;
             return true;
         }
@@ -1153,12 +1134,12 @@ CostCache::lookupIn(const CacheKey &key, const typename K::Check &check,
     if (std::shared_ptr<const SharedSnapshot> snap =
             sharedSnapshot()) {
         if (snap->image().lookup<K>(key, check, out)) {
-            bumpStat(this->*K::kHits, K::kCtxHits);
-            bumpStat(this->*K::kSharedHits, K::kCtxSharedHits);
+            bumpStat(stats_, K::kHits);
+            bumpStat(stats_, K::kSharedHits);
             return true;
         }
     }
-    bumpStat(this->*K::kMisses, K::kCtxMisses);
+    bumpStat(stats_, K::kMisses);
     return false;
 }
 
@@ -1181,8 +1162,8 @@ CostCache::insertIn(const CacheKey &key, const typename K::Value &val)
         }
     }
     if (created) {
-        (this->*K::kInserts).fetch_add(1, std::memory_order_relaxed);
-        residentBytes_.fetch_add(bytes, std::memory_order_relaxed);
+        bumpStat(stats_, K::kInserts);
+        stats_.add(CounterId::residentBytes, bytes);
         entryCount_.fetch_add(1, std::memory_order_relaxed);
         if (overCapacity())
             enforceCapacity();
@@ -1197,12 +1178,12 @@ CostCache::lookupFastIn(const CacheKey &key, typename K::Value *out)
     auto &slot = tlsL0<K>().slotFor(key);
     if (slot.used && slot.owner == id_ && slot.epoch == epoch &&
         slot.key == key) {
-        bumpStat(this->*K::kL0Hits, K::kCtxL0Hits);
+        bumpStat(stats_, K::kL0Hits);
         *out = slot.val;
         return true;
     }
-    if constexpr (K::kL0Misses != nullptr)
-        bumpStat(this->*K::kL0Misses, K::kCtxL0Misses);
+    if constexpr (K::kL0Misses.has_value())
+        bumpStat(stats_, *K::kL0Misses);
     if (!lookupIn<K>(key, NoCheck{}, out))
         return false;
     // Promote the L1 (or shared-tier) hit so this worker's next
@@ -1626,7 +1607,7 @@ CostCache::loadOrQuarantine(const std::string &path)
                      "lego: cache file %s failed validation; "
                      "quarantined to %s (cold start)\n",
                      path.c_str(), aside.c_str());
-    quarantined_.fetch_add(1, std::memory_order_relaxed);
+    bumpStat(stats_, CounterId::quarantined);
     return st;
 }
 
@@ -1646,25 +1627,13 @@ CostCache::clear()
     // shared snapshot (if attached) stays mapped — it is read-only
     // state owned by the publisher, not by this process.
     epoch_.fetch_add(1, std::memory_order_relaxed);
-    residentBytes_.store(0);
     entryCount_.store(0);
-    hits_.store(0);
-    misses_.store(0);
-    l0Hits_.store(0);
-    l0Misses_.store(0);
-    inserts_.store(0);
-    frontHits_.store(0);
-    frontMisses_.store(0);
-    frontInserts_.store(0);
-    segHits_.store(0);
-    segMisses_.store(0);
-    segInserts_.store(0);
-    quarantined_.store(0);
-    evictions_.store(0);
-    sharedHits_.store(0);
-    sharedFrontHits_.store(0);
-    sharedSegHits_.store(0);
-    remaps_.store(0);
+    // Zero every counter and the resident footprint; the mapped
+    // generation survives with the snapshot.
+    CacheCounters::visit([&](CounterId c) {
+        if (c != CounterId::generation)
+            stats_[c].store(0);
+    });
 }
 
 } // namespace dse

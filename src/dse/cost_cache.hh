@@ -21,7 +21,7 @@
  *    tier by resident bytes and/or entry count; inserts past the
  *    bound trigger epoch-batched, cost-aware LRU eviction (scalar
  *    entries first, then frontiers, then segments — LRU order
- *    within each kind), with exact evictions()/residentBytes()
+ *    within each kind), with exact evictions/residentBytes
  *    counters.
  *  - **Shared read-mostly tier** — the persistent file is an
  *    mmap-able, offset-based, CRC-covered snapshot holding
@@ -48,6 +48,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "dse/counters.hh"
 #include "dse/pareto.hh"
 #include "model/layer_class.hh"
 #include "sim/perf.hh"
@@ -144,65 +145,6 @@ struct SegmentRecord
 CacheKey makeSegmentKey(const HardwareConfig &hw,
                         const std::vector<SegmentKeyId> &stages);
 
-/**
- * Point-in-time snapshot of every CostCache counter, with a
- * subtraction operator so clients can report exact per-window deltas
- * (the perf benches' per-sweep numbers).
- */
-struct CacheCounters
-{
-    std::uint64_t hits = 0;        //!< Sharded (L1) scalar hits.
-    std::uint64_t misses = 0;      //!< Sharded (L1) scalar misses.
-    std::uint64_t l0Hits = 0;      //!< Thread-local scalar hits.
-    std::uint64_t l0Misses = 0;    //!< Thread-local scalar misses.
-    std::uint64_t inserts = 0;     //!< Scalar entries created.
-    std::uint64_t frontHits = 0;   //!< Frontier hits (any level).
-    std::uint64_t frontMisses = 0; //!< Frontier full-sweep misses.
-    std::uint64_t frontInserts = 0;//!< Frontier entries created.
-    std::uint64_t segHits = 0;     //!< Segment-record hits.
-    std::uint64_t segMisses = 0;   //!< Segment-record misses.
-    std::uint64_t segInserts = 0;  //!< Segment entries created.
-    std::uint64_t quarantined = 0; //!< Corrupt files set aside.
-    std::uint64_t evictions = 0;   //!< Entries evicted (all kinds).
-    /** Shared mmap-tier hits; each is also counted in the matching
-     *  hits/frontHits/segHits total, so hit-rate math is unchanged
-     *  and these attribute WHERE the hit was served from. */
-    std::uint64_t sharedHits = 0;
-    std::uint64_t sharedFrontHits = 0;
-    std::uint64_t sharedSegHits = 0;
-    std::uint64_t remaps = 0;      //!< Shared-snapshot remaps.
-    /** Gauges (point-in-time values, not monotonic): a counter
-     *  subtraction carries the minuend's current reading instead of
-     *  differencing, so a shrinking resident set can never wrap. */
-    std::uint64_t residentBytes = 0; //!< L1 serialized footprint.
-    std::uint64_t generation = 0;    //!< Mapped snapshot generation.
-
-    CacheCounters operator-(const CacheCounters &o) const
-    {
-        CacheCounters d;
-        d.hits = hits - o.hits;
-        d.misses = misses - o.misses;
-        d.l0Hits = l0Hits - o.l0Hits;
-        d.l0Misses = l0Misses - o.l0Misses;
-        d.inserts = inserts - o.inserts;
-        d.frontHits = frontHits - o.frontHits;
-        d.frontMisses = frontMisses - o.frontMisses;
-        d.frontInserts = frontInserts - o.frontInserts;
-        d.segHits = segHits - o.segHits;
-        d.segMisses = segMisses - o.segMisses;
-        d.segInserts = segInserts - o.segInserts;
-        d.quarantined = quarantined - o.quarantined;
-        d.evictions = evictions - o.evictions;
-        d.sharedHits = sharedHits - o.sharedHits;
-        d.sharedFrontHits = sharedFrontHits - o.sharedFrontHits;
-        d.sharedSegHits = sharedSegHits - o.sharedSegHits;
-        d.remaps = remaps - o.remaps;
-        d.residentBytes = residentBytes; // Gauge: carry, don't diff.
-        d.generation = generation;       // Gauge: carry, don't diff.
-        return d;
-    }
-};
-
 /** What CostCache::loadEx found at the path. */
 enum class CacheLoadStatus
 {
@@ -242,19 +184,19 @@ class SharedSnapshot;
  *    pages stay shared across every process mapping it.
  *
  * Counter contract (exact under any worker count; all relaxed
- * atomics): every lookupFast counts exactly one of l0Hits/l0Misses;
- * every L0 miss falls through to one L1 lookup, which counts exactly
- * one of hits/misses — so hits() + misses() == l0Misses() when all
- * traffic goes through lookupFast. A shared-tier hit counts in BOTH
- * hits() and sharedHits() (attribution, not a new denominator);
- * misses() therefore still means "missed every tier". inserts()
- * counts entries actually created (losing racers of a duplicate
- * insert are not counted), so inserts() == size() on a cache that
- * was never cleared or bounded; with a capacity set,
- * inserts() - evictions() == size(). Frontier counters are coarser:
- * frontHits() counts successful frontier lookups at any level,
- * frontMisses() counts lookups that had to fall through to a full
- * sweep, frontInserts() counts frontier entries actually created.
+ * atomics; field names of counters()): every lookupFast counts
+ * exactly one of l0Hits/l0Misses; every L0 miss falls through to one
+ * L1 lookup, which counts exactly one of hits/misses — so hits +
+ * misses == l0Misses when all traffic goes through lookupFast. A
+ * shared-tier hit counts in BOTH hits and sharedHits (attribution,
+ * not a new denominator); misses therefore still means "missed every
+ * tier". inserts counts entries actually created (losing racers of a
+ * duplicate insert are not counted), so inserts == size() on a cache
+ * that was never cleared or bounded; with a capacity set,
+ * inserts - evictions == size(). Frontier counters are coarser:
+ * frontHits counts successful frontier lookups at any level,
+ * frontMisses counts lookups that had to fall through to a full
+ * sweep, frontInserts counts frontier entries actually created.
  */
 class CostCache
 {
@@ -353,9 +295,9 @@ class CostCache
      * deserialization, pages shared with every other process mapping
      * the same file. refreshShared() re-reads the published header
      * and atomically swaps in a new mapping when the generation
-     * stamp changed (counted in remaps()); in-flight probes keep
-     * using the old mapping until they finish — readers never block
-     * writers and vice versa.
+     * stamp changed (counted in counters().remaps); in-flight probes
+     * keep using the old mapping until they finish — readers never
+     * block writers and vice versa.
      * @{
      */
 
@@ -373,61 +315,18 @@ class CostCache
 
     /** @} */
 
-    std::uint64_t hits() const { return hits_.load(); }
-    std::uint64_t misses() const { return misses_.load(); }
-    std::uint64_t l0Hits() const { return l0Hits_.load(); }
-    std::uint64_t l0Misses() const { return l0Misses_.load(); }
-    std::uint64_t inserts() const { return inserts_.load(); }
-    std::uint64_t frontHits() const { return frontHits_.load(); }
-    std::uint64_t frontMisses() const { return frontMisses_.load(); }
-    std::uint64_t frontInserts() const { return frontInserts_.load(); }
-    std::uint64_t segHits() const { return segHits_.load(); }
-    std::uint64_t segMisses() const { return segMisses_.load(); }
-    std::uint64_t segInserts() const { return segInserts_.load(); }
-    std::uint64_t quarantined() const { return quarantined_.load(); }
-    std::uint64_t evictions() const { return evictions_.load(); }
-    std::uint64_t sharedHits() const { return sharedHits_.load(); }
-    std::uint64_t sharedFrontHits() const
-    {
-        return sharedFrontHits_.load();
-    }
-    std::uint64_t sharedSegHits() const
-    {
-        return sharedSegHits_.load();
-    }
-    std::uint64_t remaps() const { return remaps_.load(); }
     /** Exact serialized footprint of the resident L1 entries. */
     std::uint64_t residentBytes() const
     {
-        return residentBytes_.load();
+        return stats_.load(CounterId::residentBytes);
     }
 
-    /** Snapshot of all counters in one call (relaxed loads; exact
-     *  when no lookup is concurrently in flight, e.g. between
-     *  requests on the serve loop's dispatcher thread). */
+    /** Snapshot of all counters in one call (exact when no lookup
+     *  is concurrently in flight, e.g. between requests on the serve
+     *  loop's dispatcher thread). */
     CacheCounters counters() const
     {
-        CacheCounters c;
-        c.hits = hits();
-        c.misses = misses();
-        c.l0Hits = l0Hits();
-        c.l0Misses = l0Misses();
-        c.inserts = inserts();
-        c.frontHits = frontHits();
-        c.frontMisses = frontMisses();
-        c.frontInserts = frontInserts();
-        c.segHits = segHits();
-        c.segMisses = segMisses();
-        c.segInserts = segInserts();
-        c.quarantined = quarantined();
-        c.evictions = evictions();
-        c.sharedHits = sharedHits();
-        c.sharedFrontHits = sharedFrontHits();
-        c.sharedSegHits = sharedSegHits();
-        c.remaps = remaps();
-        c.residentBytes = residentBytes();
-        c.generation = sharedGeneration();
-        return c;
+        return stats_.read<CacheCounters>();
     }
 
     /** Scalar (per-mapping) entry count. */
@@ -586,7 +485,6 @@ class CostCache
     /** Capacity bounds (0 = unbounded) and exact usage gauges. */
     std::atomic<std::uint64_t> maxBytes_{0};
     std::atomic<std::uint64_t> maxEntries_{0};
-    std::atomic<std::uint64_t> residentBytes_{0};
     std::atomic<std::uint64_t> entryCount_{0};
     /** Serializes eviction batches (inserts from other threads
      *  proceed concurrently; they just can't start a second batch). */
@@ -598,25 +496,9 @@ class CostCache
     std::string sharedPath_;
     std::shared_ptr<const SharedSnapshot> shared_;
     std::atomic<bool> sharedAttached_{false};
-    std::atomic<std::uint64_t> sharedGen_{0};
 
-    std::atomic<std::uint64_t> hits_{0};
-    std::atomic<std::uint64_t> misses_{0};
-    std::atomic<std::uint64_t> l0Hits_{0};
-    std::atomic<std::uint64_t> l0Misses_{0};
-    std::atomic<std::uint64_t> inserts_{0};
-    std::atomic<std::uint64_t> frontHits_{0};
-    std::atomic<std::uint64_t> frontMisses_{0};
-    std::atomic<std::uint64_t> frontInserts_{0};
-    std::atomic<std::uint64_t> segHits_{0};
-    std::atomic<std::uint64_t> segMisses_{0};
-    std::atomic<std::uint64_t> segInserts_{0};
-    std::atomic<std::uint64_t> quarantined_{0};
-    std::atomic<std::uint64_t> evictions_{0};
-    std::atomic<std::uint64_t> sharedHits_{0};
-    std::atomic<std::uint64_t> sharedFrontHits_{0};
-    std::atomic<std::uint64_t> sharedSegHits_{0};
-    std::atomic<std::uint64_t> remaps_{0};
+    /** Every Cache row of counters.hh, gauges included. */
+    CounterBlock stats_;
 };
 
 } // namespace dse

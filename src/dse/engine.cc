@@ -43,32 +43,17 @@ DseEngine::saveCache() const
 DseStats
 DseEngine::statsFrom(const StatsContext &ctx, double wallSeconds) const
 {
-    const auto get = [](const std::atomic<std::uint64_t> &v) {
-        return v.load(std::memory_order_relaxed);
-    };
-    DseStats s;
-    s.cacheHits = get(ctx.cacheHits);
-    s.cacheMisses = get(ctx.cacheMisses);
-    s.l0Hits = get(ctx.l0Hits);
-    s.l0Misses = get(ctx.l0Misses);
-    s.frontHits = get(ctx.frontHits);
-    s.frontMisses = get(ctx.frontMisses);
-    s.segHits = get(ctx.segHits);
-    s.segMisses = get(ctx.segMisses);
-    s.evictions = get(ctx.evictions);
-    s.sharedHits = get(ctx.sharedHits);
-    s.sharedFrontHits = get(ctx.sharedFrontHits);
-    s.sharedSegHits = get(ctx.sharedSegHits);
-    s.modelEvals = get(ctx.modelEvals);
-    s.mappingsPruned = get(ctx.mappingsPruned);
-    s.dataflowsPruned = get(ctx.dataflowsPruned);
-    s.layersDeduped = get(ctx.layersDeduped);
-    s.crossModelDeduped = get(ctx.crossModelDeduped);
+    DseStats s = ctx.read<DseStats>();
     // Gauges are whole-cache readings at window close, not
     // attributions (a StatsContext cannot carry a point-in-time
     // footprint).
-    s.residentBytes = cache_.residentBytes();
-    s.generation = cache_.sharedGeneration();
+    const CacheCounters cc = cache_.counters();
+    DseStats::visit(
+        [&](CounterId c, std::uint64_t &v) {
+            if (counterRow(c).kind == CounterKind::Gauge)
+                v = counterValue(cc, c);
+        },
+        s);
     s.wallSeconds = wallSeconds;
     return s;
 }
@@ -76,37 +61,15 @@ DseEngine::statsFrom(const StatsContext &ctx, double wallSeconds) const
 void
 DseEngine::publishMetrics(obs::MetricsRegistry &registry) const
 {
-    const CacheCounters cc = cache_.counters();
-    registry.counter("dse.cache.l0_hits").set(cc.l0Hits);
-    registry.counter("dse.cache.l0_misses").set(cc.l0Misses);
-    registry.counter("dse.cache.l1_hits").set(cc.hits);
-    registry.counter("dse.cache.l1_misses").set(cc.misses);
-    registry.counter("dse.cache.inserts").set(cc.inserts);
-    registry.counter("dse.cache.front_hits").set(cc.frontHits);
-    registry.counter("dse.cache.front_misses").set(cc.frontMisses);
-    registry.counter("dse.cache.front_inserts").set(cc.frontInserts);
-    registry.counter("dse.cache.seg_hits").set(cc.segHits);
-    registry.counter("dse.cache.seg_misses").set(cc.segMisses);
-    registry.counter("dse.cache.seg_inserts").set(cc.segInserts);
-    registry.counter("dse.cache.quarantined").set(cc.quarantined);
-    registry.counter("dse.cache.evictions").set(cc.evictions);
-    registry.counter("dse.cache.shared_hits").set(cc.sharedHits);
-    registry.counter("dse.cache.shared_front_hits")
-        .set(cc.sharedFrontHits);
-    registry.counter("dse.cache.shared_seg_hits")
-        .set(cc.sharedSegHits);
-    registry.counter("dse.cache.remaps").set(cc.remaps);
-    const EvalCounters ec = evaluator_.counters();
-    registry.counter("dse.eval.searches").set(ec.searches);
-    registry.counter("dse.eval.model_evals").set(ec.modelEvals);
-    registry.counter("dse.eval.mappings_pruned")
-        .set(ec.mappingsPruned);
-    registry.counter("dse.eval.dataflows_pruned")
-        .set(ec.dataflowsPruned);
-    registry.counter("dse.eval.layers_deduped")
-        .set(ec.layersDeduped);
-    registry.counter("dse.eval.cross_model_deduped")
-        .set(ec.crossModelDeduped);
+    const auto publish = [&](CounterId c, std::uint64_t v) {
+        const CounterRow &row = counterRow(c);
+        if (row.kind == CounterKind::Gauge)
+            registry.gauge(row.metric).set(double(v));
+        else
+            registry.counter(row.metric).set(v);
+    };
+    CacheCounters::visit(publish, cache_.counters());
+    EvalCounters::visit(publish, evaluator_.counters());
     const SegmentSearchStats seg = segmentStats();
     registry.counter("dse.segment.runs").set(seg.chainRuns);
     registry.counter("dse.segment.moves").set(seg.movesTried);
@@ -118,9 +81,6 @@ DseEngine::publishMetrics(obs::MetricsRegistry &registry) const
         .set(double(cache_.frontierCount()));
     registry.gauge("dse.cache.segment_entries")
         .set(double(cache_.segmentCount()));
-    registry.gauge("dse.cache.resident_bytes")
-        .set(double(cc.residentBytes));
-    registry.gauge("dse.cache.generation").set(double(cc.generation));
 }
 
 DseResult

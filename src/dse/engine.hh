@@ -78,50 +78,6 @@ struct DseOptions
     ComposeOptions compose;
 };
 
-struct DseStats
-{
-    std::size_t proposed = 0;  //!< Ids proposed by the strategy.
-    std::size_t evaluated = 0; //!< Unique candidates actually scored.
-    std::size_t pruned = 0;    //!< Skipped as infeasible (PrunedExhaustive).
-    std::uint64_t cacheHits = 0;   //!< Sharded (L1) cache hits.
-    std::uint64_t cacheMisses = 0; //!< Sharded (L1) cache misses.
-    std::uint64_t l0Hits = 0;      //!< Thread-local L0 hits (no locks).
-    std::uint64_t l0Misses = 0;    //!< L0 misses (fell through to L1).
-    /** Frontier-memo hits (either cache level): whole per-layer
-     *  sweeps skipped. The serving warm-pass headline number. */
-    std::uint64_t frontHits = 0;
-    std::uint64_t frontMisses = 0; //!< Frontier lookups that swept.
-    /** Segment-record memo hits/misses (segmentation search only;
-     *  both zero when segmentation is off). */
-    std::uint64_t segHits = 0;
-    std::uint64_t segMisses = 0;
-    /** L1 entries evicted by the capacity bound in this window. */
-    std::uint64_t evictions = 0;
-    /** Hits served from the shared mmap tier (each also counted in
-     *  the matching cacheHits/frontHits/segHits total). */
-    std::uint64_t sharedHits = 0;
-    std::uint64_t sharedFrontHits = 0;
-    std::uint64_t sharedSegHits = 0;
-    /** Gauges at window close (not deltas): L1 serialized footprint
-     *  and the mapped shared-snapshot generation (0 = none). */
-    std::uint64_t residentBytes = 0;
-    std::uint64_t generation = 0;
-    /** runLayerWithEff invocations issued by this engine's
-     *  evaluator — the hot-path unit of work. Per-engine exact. */
-    std::uint64_t modelEvals = 0;
-    std::uint64_t mappingsPruned = 0;  //!< Tilings cut by the cycle bound.
-    /** Dataflows with no tiling evaluated before the global cut. */
-    std::uint64_t dataflowsPruned = 0;
-    std::uint64_t layersDeduped = 0;   //!< Layer instances broadcast, not searched.
-    /** Extra class-search shares a zoo-level table produced across
-     *  models. Fed only by mapZoo traffic on this engine's evaluator
-     *  (explore() itself never maps zoos, so a pure explore() window
-     *  reports 0); the cache-level frontier counters live on
-     *  CostCache (frontHits()/frontMisses()) directly. */
-    std::uint64_t crossModelDeduped = 0;
-    double wallSeconds = 0;
-};
-
 struct DseResult
 {
     ParetoArchive archive;

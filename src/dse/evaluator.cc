@@ -108,14 +108,14 @@ Evaluator::scoredRunLayer(const HardwareConfig &hw, const Layer &l,
                           const Mapping &map, double spatialEff) const
 {
     if (!cache_) {
-        bumpStat(modelEvals_, &StatsContext::modelEvals);
+        bumpStat(stats_, CounterId::modelEvals);
         return runLayerWithEff(hw, l, map, spatialEff);
     }
     CacheKey key = makeCacheKey(hw, l, map);
     LayerResult res;
     if (cache_->lookupFast(key, &res))
         return res;
-    bumpStat(modelEvals_, &StatsContext::modelEvals);
+    bumpStat(stats_, CounterId::modelEvals);
     res = runLayerWithEff(hw, l, map, spatialEff);
     cache_->insertFast(key, res);
     return res;
@@ -220,8 +220,7 @@ Evaluator::sweepFrontier(const HardwareConfig &hw, const Layer &l,
             const std::size_t i = order[oi];
             if (front.atCapacity() &&
                 bounds[i] > front.worst().result.cycles) {
-                bumpStat(mappingsPruned_,
-                         &StatsContext::mappingsPruned,
+                bumpStat(stats_, CounterId::mappingsPruned,
                          order.size() - oi);
                 break;
             }
@@ -243,8 +242,7 @@ Evaluator::sweepFrontier(const HardwareConfig &hw, const Layer &l,
         // worth evaluating against the frontier.
         for (std::size_t s = 0; s < spans.size(); ++s)
             if (evalsPerSpan[s] == 0)
-                bumpStat(dataflowsPruned_,
-                         &StatsContext::dataflowsPruned);
+                bumpStat(stats_, CounterId::dataflowsPruned);
     }
 
     if (front.empty()) {
@@ -271,7 +269,7 @@ Evaluator::searchMappingFrontier(const HardwareConfig &hw,
     LEGO_TRACE_SPAN_ARG("dse.search", "dse", "k", k);
     const std::size_t cap = k == 0 ? 1 : k;
     if (!l.isTensorOp()) {
-        searches_.fetch_add(1, std::memory_order_relaxed);
+        bumpStat(stats_, CounterId::searches);
         MappingFrontier front(cap);
         FrontierPoint p;
         p.result = runPpuLayer(hw, l);
@@ -295,7 +293,7 @@ Evaluator::searchMappingFrontier(const HardwareConfig &hw,
             return front;
         }
     }
-    searches_.fetch_add(1, std::memory_order_relaxed);
+    bumpStat(stats_, CounterId::searches);
     MappingFrontier front = sweepFrontier(hw, l, cap, cancel);
     // Never memoize under a tripped token: the sweep may have been
     // truncated, and a cached partial frontier would degrade LATER
@@ -355,7 +353,7 @@ Evaluator::mapModelFrontier(const HardwareConfig &hw, const Model &m,
         for (std::size_t c = 0; c < classes.size(); ++c)
             for (std::size_t idx : classes[c].members)
                 fronts[idx] = byClass[c];
-        bumpStat(layersDeduped_, &StatsContext::layersDeduped,
+        bumpStat(stats_, CounterId::layersDeduped,
                  m.layers.size() - classes.size());
     } else {
         auto mapOne = [&](std::size_t i) {
@@ -432,10 +430,9 @@ Evaluator::mapZooFrontier(const HardwareConfig &hw,
             fronts[ref.model][ref.layer] = byClass[c];
         crossModel += classes[c].distinctModels - 1;
     }
-    bumpStat(layersDeduped_, &StatsContext::layersDeduped,
+    bumpStat(stats_, CounterId::layersDeduped,
              totalLayers - classes.size());
-    bumpStat(crossModelDeduped_, &StatsContext::crossModelDeduped,
-             crossModel);
+    bumpStat(stats_, CounterId::crossModelDeduped, crossModel);
     return fronts;
 }
 
@@ -465,21 +462,6 @@ Evaluator::evaluate(const HardwareConfig &hw, const Model &m,
     p.powerMw = cost.totalPowerMw();
     p.summary = sched.summary;
     return p;
-}
-
-EvalCounters
-Evaluator::counters() const
-{
-    EvalCounters c;
-    c.searches = searches_.load(std::memory_order_relaxed);
-    c.layersDeduped = layersDeduped_.load(std::memory_order_relaxed);
-    c.crossModelDeduped =
-        crossModelDeduped_.load(std::memory_order_relaxed);
-    c.mappingsPruned = mappingsPruned_.load(std::memory_order_relaxed);
-    c.dataflowsPruned =
-        dataflowsPruned_.load(std::memory_order_relaxed);
-    c.modelEvals = modelEvals_.load(std::memory_order_relaxed);
-    return c;
 }
 
 } // namespace dse

@@ -41,10 +41,9 @@
 #ifndef LEGO_DSE_EVALUATOR_HH
 #define LEGO_DSE_EVALUATOR_HH
 
-#include <atomic>
-
 #include "dse/cancel.hh"
 #include "dse/cost_cache.hh"
+#include "dse/counters.hh"
 #include "dse/pareto.hh"
 #include "dse/worker_pool.hh"
 #include "mapper/schedule.hh"
@@ -107,26 +106,6 @@ struct EvalPolicy
      *  sweeps never consult the frontier memo, so the scalar hot
      *  path keeps its exact per-mapping cache behavior. */
     bool memoFrontiers = true;
-};
-
-/** Reuse/pruning work counters (monotonic, any-thread exact). */
-struct EvalCounters
-{
-    /** Frontier sweeps actually run (frontier-memo hits excluded). */
-    std::uint64_t searches = 0;
-    std::uint64_t layersDeduped = 0;   //!< Instances broadcast, not searched.
-    /** Extra broadcasts a zoo-level class table produced on top of
-     *  per-model dedup: for each class, one per additional *model*
-     *  sharing the shape. */
-    std::uint64_t crossModelDeduped = 0;
-    std::uint64_t mappingsPruned = 0;  //!< Tilings cut by the cycle bound.
-    /** Dataflows not one of whose tilings was evaluated before the
-     *  global bound cut ended the sweep. */
-    std::uint64_t dataflowsPruned = 0;
-    /** runLayerWithEff invocations issued by THIS evaluator (cache
-     *  misses + uncached runs) — exact even when other engines or
-     *  mapper clients evaluate concurrently in the process. */
-    std::uint64_t modelEvals = 0;
 };
 
 class Evaluator
@@ -214,8 +193,13 @@ class Evaluator
     CostCache *cache() const { return cache_; }
     const EvalPolicy &policy() const { return policy_; }
 
-    /** Snapshot of the reuse/pruning counters. */
-    EvalCounters counters() const;
+    /** Snapshot of the reuse/pruning work counters (monotonic,
+     *  any-thread exact; modelEvals counts THIS evaluator's runs even
+     *  when other engines evaluate concurrently in the process). */
+    EvalCounters counters() const
+    {
+        return stats_.read<EvalCounters>();
+    }
 
   private:
     LayerResult scoredRunLayer(const HardwareConfig &hw,
@@ -227,12 +211,8 @@ class Evaluator
 
     CostCache *cache_;
     EvalPolicy policy_;
-    mutable std::atomic<std::uint64_t> searches_{0};
-    mutable std::atomic<std::uint64_t> layersDeduped_{0};
-    mutable std::atomic<std::uint64_t> crossModelDeduped_{0};
-    mutable std::atomic<std::uint64_t> mappingsPruned_{0};
-    mutable std::atomic<std::uint64_t> dataflowsPruned_{0};
-    mutable std::atomic<std::uint64_t> modelEvals_{0};
+    /** Every Eval row of counters.hh. */
+    mutable CounterBlock stats_;
 };
 
 } // namespace dse

@@ -9,10 +9,9 @@
  * (obs/trace.hh): traces answer "what did THIS request/sweep do",
  * metrics answer "what has the process been doing" — request rates,
  * queue-wait and request-latency distributions, cache tier hits.
- * The registry's snapshot/delta API subsumes the ad-hoc
- * DseStats/CacheCounters plumbing: DseEngine::publishMetrics mirrors
- * every engine counter into a registry under stable names (see
- * src/obs/README.md for the name map), so one
+ * DseEngine::publishMetrics mirrors every row of the DSE counter
+ * table (src/dse/counters.hh, which names each counter's metric;
+ * listed in src/obs/README.md) into a registry, so one
  * MetricsSnapshot::delta covers engine work, cache tiers, pool
  * contention, and serve traffic in one shot.
  *

@@ -28,6 +28,7 @@ using dse::CacheCounters;
 using dse::CacheKey;
 using dse::CacheLoadStatus;
 using dse::CostCache;
+using dse::CounterId;
 using dse::StatsContext;
 
 /** Serialized footprint of one scalar entry: 32 key words + 6
@@ -90,15 +91,16 @@ TEST(CacheEviction, EntryExactlyAtCapacityIsNotEvicted)
     // Exactly AT the byte bound: the contract is "evict past", not
     // "evict at" — a capacity equal to the working set must hold it.
     EXPECT_EQ(cache.residentBytes(), kScalarBytes * 4);
-    EXPECT_EQ(cache.evictions(), 0u);
+    EXPECT_EQ(cache.counters().evictions, 0u);
     EXPECT_EQ(cache.size(), 4u);
 
     // One entry beyond trips a batch: down to <= 7/8 of the bound.
     cache.insert(syntheticKey(4), syntheticResult(4));
-    EXPECT_GT(cache.evictions(), 0u);
+    EXPECT_GT(cache.counters().evictions, 0u);
     EXPECT_LE(cache.residentBytes(),
               kScalarBytes * 4 - (kScalarBytes * 4) / 8);
-    EXPECT_EQ(cache.inserts() - cache.evictions(), cache.size());
+    const CacheCounters c = cache.counters();
+    EXPECT_EQ(c.inserts - c.evictions, cache.size());
 }
 
 TEST(CacheEviction, LruOrderRespectsLookupRecency)
@@ -116,7 +118,7 @@ TEST(CacheEviction, LruOrderRespectsLookupRecency)
     // Bound to 5 entries: the batch evicts down to 7/8 * 5 = 5, so
     // exactly the 3 least-recently-used (4, 5, 6) go.
     cache.setCapacity(0, 5);
-    EXPECT_EQ(cache.evictions(), 3u);
+    EXPECT_EQ(cache.counters().evictions, 3u);
     EXPECT_EQ(cache.size(), 5u);
     for (std::uint64_t i : {4ull, 5ull, 6ull})
         EXPECT_FALSE(cache.lookup(syntheticKey(i), &out)) << i;
@@ -144,8 +146,9 @@ TEST(CacheEviction, CountersStayExactUnderTwoThreadInterleaving)
     std::thread a(worker, 0), b(worker, 10000);
     a.join();
     b.join();
-    EXPECT_GT(cache.evictions(), 0u);
-    EXPECT_EQ(cache.inserts() - cache.evictions(), cache.size());
+    EXPECT_GT(cache.counters().evictions, 0u);
+    const CacheCounters c = cache.counters();
+    EXPECT_EQ(c.inserts - c.evictions, cache.size());
     EXPECT_EQ(cache.residentBytes(), cache.size() * kScalarBytes);
     EXPECT_LE(cache.residentBytes(), kScalarBytes * 64);
 }
@@ -171,7 +174,7 @@ TEST(CacheEviction, WarmFrontierHitRateSurvivesBoundedReplay)
     bounded.setCapacity(full / 2, 0);
     dse::Evaluator ev(&bounded);
     ev.mapModelFrontier(hw, m, 4); // Cold: fills + evicts.
-    EXPECT_GT(bounded.evictions(), 0u);
+    EXPECT_GT(bounded.counters().evictions, 0u);
     EXPECT_LE(bounded.residentBytes(), full / 2);
 
     const CacheCounters before = bounded.counters();
@@ -196,7 +199,7 @@ TEST(CacheCompat, V4FixtureIsStaleNeverQuarantined)
     // survive untouched, with no quarantine side effects.
     CostCache cache;
     EXPECT_EQ(cache.loadOrQuarantine(path), CacheLoadStatus::Stale);
-    EXPECT_EQ(cache.quarantined(), 0u);
+    EXPECT_EQ(cache.counters().quarantined, 0u);
     EXPECT_EQ(cache.size(), 0u);
     EXPECT_TRUE(fileExists(path));
     EXPECT_FALSE(fileExists(path + ".corrupt"));
@@ -216,7 +219,7 @@ TEST(CacheCompat, CorruptV5FixtureQuarantinesByteVerbatim)
 
     CostCache cache;
     EXPECT_EQ(cache.loadOrQuarantine(path), CacheLoadStatus::Corrupt);
-    EXPECT_EQ(cache.quarantined(), 1u);
+    EXPECT_EQ(cache.counters().quarantined, 1u);
     EXPECT_EQ(cache.size(), 0u);
     EXPECT_FALSE(fileExists(path)); // Moved aside, not deleted.
     ASSERT_TRUE(fileExists(aside));
@@ -432,9 +435,9 @@ TEST(CacheCompat, V5GoldenImageRoundTripsByteForByte)
         EXPECT_EQ(a.cost.sramEnergyPj, b.cost.sramEnergyPj);
         EXPECT_EQ(a.cost.dramBytesSaved, b.cost.dramBytesSaved);
     }
-    EXPECT_EQ(mapped.sharedHits(), keys.scalars.size());
-    EXPECT_EQ(mapped.sharedFrontHits(), keys.fronts.size());
-    EXPECT_EQ(mapped.sharedSegHits(), keys.segs.size());
+    EXPECT_EQ(mapped.counters().sharedHits, keys.scalars.size());
+    EXPECT_EQ(mapped.counters().sharedFrontHits, keys.fronts.size());
+    EXPECT_EQ(mapped.counters().sharedSegHits, keys.segs.size());
 }
 
 /** Writer cache with all three entry kinds, saved to `path`. */
@@ -476,10 +479,10 @@ TEST(SharedCache, ReaderServesEntirelyFromMappedSnapshot)
     ScheduleResult viaShared = ev.mapModel(hw, m);
     EXPECT_EQ(ev.counters().modelEvals, 0u)
         << "every evaluation should have come from the snapshot";
-    EXPECT_GT(reader.sharedHits(), 0u);
+    EXPECT_GT(reader.counters().sharedHits, 0u);
     // Shared hits never copy into L1 (pages must stay shared):
     // inserts would be the tell.
-    EXPECT_EQ(reader.inserts(), 0u);
+    EXPECT_EQ(reader.counters().inserts, 0u);
     EXPECT_EQ(reader.residentBytes(), 0u);
 
     // Frontier + segment kinds probe the snapshot too.
@@ -518,7 +521,7 @@ TEST(SharedCache, GenerationChangeRemapsAtomically)
     EXPECT_EQ(reader.sharedGeneration(), 1u);
     // No republish → refresh is a cheap no-op (header read only).
     EXPECT_FALSE(reader.refreshShared());
-    EXPECT_EQ(reader.remaps(), 0u);
+    EXPECT_EQ(reader.counters().remaps, 0u);
 
     // Idempotent republish (identical content) keeps the generation:
     // readers must not churn mappings for bytes they already have.
@@ -535,13 +538,13 @@ TEST(SharedCache, GenerationChangeRemapsAtomically)
     ASSERT_TRUE(writer.save(path));
     EXPECT_TRUE(reader.refreshShared());
     EXPECT_EQ(reader.sharedGeneration(), 2u);
-    EXPECT_EQ(reader.remaps(), 1u);
+    EXPECT_EQ(reader.counters().remaps, 1u);
 
     // The new entries are visible through the new mapping.
     std::vector<dse::FrontierPoint> pts;
     EXPECT_TRUE(reader.lookupFrontier(
         dse::makeFrontierKey(hw, m.layers[0], 4), &pts));
-    EXPECT_GT(reader.sharedFrontHits(), 0u);
+    EXPECT_GT(reader.counters().sharedFrontHits, 0u);
     std::remove(path.c_str());
 }
 
@@ -564,14 +567,15 @@ TEST(SharedCache, StatsContextAttributesEvictionsAndSharedHits)
     StatsContext::Scope scope(&ctx);
     LayerResult out;
     ASSERT_TRUE(reader.lookup(syntheticKey(3), &out));
-    EXPECT_EQ(ctx.sharedHits.load(), 1u);
-    EXPECT_EQ(ctx.cacheHits.load(), 1u); // Attribution, not a new
-                                         // denominator.
+    EXPECT_EQ(ctx.load(CounterId::sharedHits), 1u);
+    // Attribution, not a new denominator.
+    EXPECT_EQ(ctx.load(CounterId::hits), 1u);
     reader.setCapacity(0, 4);
     for (std::uint64_t i = 100; i < 110; ++i)
         reader.insert(syntheticKey(i), syntheticResult(i));
-    EXPECT_GT(ctx.evictions.load(), 0u);
-    EXPECT_EQ(ctx.evictions.load(), reader.evictions());
+    EXPECT_GT(ctx.load(CounterId::evictions), 0u);
+    EXPECT_EQ(ctx.load(CounterId::evictions),
+              reader.counters().evictions);
     std::remove(path.c_str());
 }
 

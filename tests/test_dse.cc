@@ -81,7 +81,7 @@ TEST(CostCache, CachedEqualsFresh)
     // The repeat search runs on the same thread, so its hits land in
     // the thread-local L0 (the sharded level is only consulted on L0
     // misses).
-    EXPECT_GT(cache.l0Hits(), 0u);
+    EXPECT_GT(cache.counters().l0Hits, 0u);
 
     // Bit-identical across cached and fresh paths.
     for (const MappedLayer *m : {&b, &c}) {
@@ -153,7 +153,7 @@ TEST(CostCache, SharedShapesHitAcrossLayers)
     CostCache cache2;
     Evaluator e2(&cache2, naiveDedup);
     ScheduleResult r2 = e2.mapModel(HardwareConfig{}, m);
-    EXPECT_GT(cache2.l0Hits(), 0u); // Second twin fully memoized.
+    EXPECT_GT(cache2.counters().l0Hits, 0u); // Second twin fully memoized.
     EXPECT_EQ(r2.perLayer[0].result.cycles,
               r2.perLayer[1].result.cycles);
 }
@@ -487,35 +487,33 @@ TEST(CostCache, CountersExactUnderWorkerCounts)
         // Cold: every lookup misses both levels and inserts once.
         engine.mapModel(HardwareConfig{}, m);
         dse::CostCache &cache = engine.cache();
-        EXPECT_EQ(cache.l0Hits(), 0u) << threads;
-        EXPECT_EQ(cache.l0Misses(), expectLookups) << threads;
-        EXPECT_EQ(cache.hits(), 0u) << threads;
-        EXPECT_EQ(cache.misses(), expectLookups) << threads;
-        EXPECT_EQ(cache.inserts(), expectLookups) << threads;
+        dse::CacheCounters c = cache.counters();
+        EXPECT_EQ(c.l0Hits, 0u) << threads;
+        EXPECT_EQ(c.l0Misses, expectLookups) << threads;
+        EXPECT_EQ(c.hits, 0u) << threads;
+        EXPECT_EQ(c.misses, expectLookups) << threads;
+        EXPECT_EQ(c.inserts, expectLookups) << threads;
         EXPECT_EQ(cache.size(), expectLookups) << threads;
 
         // Warm: the same lookups all hit — split between L0 (same
         // worker re-lookup) and L1 (first touch from a new worker),
         // but the sum and the lack of misses/inserts are exact.
         engine.mapModel(HardwareConfig{}, m);
-        EXPECT_EQ(cache.l0Hits() + cache.hits(), expectLookups)
-            << threads;
-        EXPECT_EQ(cache.l0Misses() + cache.l0Hits(),
-                  2 * expectLookups)
-            << threads;
-        EXPECT_EQ(cache.misses(), expectLookups) << threads;
-        EXPECT_EQ(cache.inserts(), expectLookups) << threads;
+        c = cache.counters();
+        EXPECT_EQ(c.l0Hits + c.hits, expectLookups) << threads;
+        EXPECT_EQ(c.l0Misses + c.l0Hits, 2 * expectLookups) << threads;
+        EXPECT_EQ(c.misses, expectLookups) << threads;
+        EXPECT_EQ(c.inserts, expectLookups) << threads;
         EXPECT_EQ(cache.size(), expectLookups) << threads;
         if (threads == 1) {
             // One worker: warm lookups are L0 hits except keys whose
             // direct-mapped slot was evicted by a colliding key —
             // those fall through and hit L1 instead (still counted
             // exactly once, by the sum checks above).
-            EXPECT_GT(cache.l0Hits(), 0u);
+            EXPECT_GT(c.l0Hits, 0u);
         }
         // Every L1 access came from an L0 miss.
-        EXPECT_EQ(cache.hits() + cache.misses(), cache.l0Misses())
-            << threads;
+        EXPECT_EQ(c.hits + c.misses, c.l0Misses) << threads;
     }
 }
 
@@ -599,31 +597,45 @@ TEST(Engine, ThreadCountDeterminism)
 TEST(Engine, ExploreStatsMatchGlobalCounterDeltas)
 {
     // explore() attributes through a StatsContext re-installed in
-    // every pool item; with no other caller on the engine, its stats
-    // must equal the deltas of the global counters over the call —
-    // cold (misses) and warm (hits) alike.
+    // every pool item; with no other caller on the engine, every
+    // attributed (Window) counter of its stats must equal the delta
+    // of its global counter over the call — cold (misses) and warm
+    // (hits) alike, unbounded and under an evicting capacity bound.
     Model m = makeLeNet();
     CandidateSpace space = dse::eyerissEquivalentSpace();
-    DseOptions opt;
-    opt.threads = 4;
-    DseEngine engine(opt);
-    for (int pass = 0; pass < 2; ++pass) {
-        const dse::CacheCounters c0 = engine.cache().counters();
-        const std::uint64_t e0 = engine.evaluator().counters().modelEvals;
-        const DseResult r = engine.explore(space, m);
-        const dse::CacheCounters dc = engine.cache().counters() - c0;
-        EXPECT_EQ(r.stats.cacheHits, dc.hits) << pass;
-        EXPECT_EQ(r.stats.cacheMisses, dc.misses) << pass;
-        EXPECT_EQ(r.stats.l0Hits, dc.l0Hits) << pass;
-        EXPECT_EQ(r.stats.l0Misses, dc.l0Misses) << pass;
-        EXPECT_EQ(r.stats.modelEvals,
-                  engine.evaluator().counters().modelEvals - e0)
-            << pass;
-        EXPECT_GT(r.stats.l0Misses, 0u) << pass;
-        if (pass == 0)
-            EXPECT_GT(r.stats.modelEvals, 0u);
-        else
-            EXPECT_GT(r.stats.l0Hits + r.stats.cacheHits, 0u);
+    for (std::uint64_t maxEntries : {0, 64}) {
+        DseOptions opt;
+        opt.threads = 4;
+        opt.cacheMaxEntries = maxEntries;
+        DseEngine engine(opt);
+        for (int pass = 0; pass < 2; ++pass) {
+            const dse::CacheCounters c0 = engine.cache().counters();
+            const dse::EvalCounters e0 = engine.evaluator().counters();
+            const DseResult r = engine.explore(space, m);
+            const dse::CacheCounters dc =
+                engine.cache().counters() - c0;
+            const dse::EvalCounters de =
+                engine.evaluator().counters() - e0;
+            for (const dse::CounterRow &row : dse::kCounterRows) {
+                if (row.kind != dse::CounterKind::Window)
+                    continue;
+                const std::uint64_t global =
+                    row.owner == dse::CounterOwner::Cache
+                        ? dse::counterValue(dc, row.id)
+                        : dse::counterValue(de, row.id);
+                EXPECT_EQ(dse::counterValue(r.stats, row.id), global)
+                    << row.metric << " cap " << maxEntries << " pass "
+                    << pass;
+            }
+            EXPECT_GT(r.stats.l0Misses, 0u) << pass;
+            if (pass == 0)
+                EXPECT_GT(r.stats.modelEvals, 0u);
+            else
+                EXPECT_GT(r.stats.l0Hits + r.stats.hits, 0u);
+            if (maxEntries != 0) {
+                EXPECT_GT(r.stats.evictions, 0u) << pass;
+            }
+        }
     }
 }
 
@@ -753,7 +765,7 @@ TEST(CostCache, SaveLoadWarmStart)
 
     DseEngine cold(opt);
     DseResult rc = cold.explore(space, m);
-    EXPECT_GT(rc.stats.cacheMisses, 0u);
+    EXPECT_GT(rc.stats.misses, 0u);
     ASSERT_TRUE(cold.saveCache());
 
     // A fresh engine warm-starts from the file: every layer costing
@@ -761,8 +773,8 @@ TEST(CostCache, SaveLoadWarmStart)
     DseEngine warm(opt);
     EXPECT_EQ(warm.cache().size(), cold.cache().size());
     DseResult rw = warm.explore(space, m);
-    EXPECT_EQ(rw.stats.cacheMisses, 0u);
-    EXPECT_GT(rw.stats.cacheHits, 0u);
+    EXPECT_EQ(rw.stats.misses, 0u);
+    EXPECT_GT(rw.stats.hits, 0u);
     expectSameFrontier(rc.archive, rw.archive);
 
     // A valid header whose count word is corrupted must be rejected

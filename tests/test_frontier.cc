@@ -241,13 +241,13 @@ TEST(FrontierMemo, MemoizedEqualsFresh)
     CostCache cache;
     Evaluator cached(&cache);
     MappingFrontier a = cached.searchMappingFrontier(hw, l, 4);
-    EXPECT_EQ(cache.frontMisses(), 1u);
-    EXPECT_EQ(cache.frontInserts(), 1u);
+    EXPECT_EQ(cache.counters().frontMisses, 1u);
+    EXPECT_EQ(cache.counters().frontInserts, 1u);
     EXPECT_EQ(cache.frontierCount(), 1u);
     std::uint64_t evals = cached.counters().modelEvals;
 
     MappingFrontier b = cached.searchMappingFrontier(hw, l, 4);
-    EXPECT_EQ(cache.frontHits(), 1u);
+    EXPECT_EQ(cache.counters().frontHits, 1u);
     // A frontier hit skips the sweep entirely: no new evaluations.
     EXPECT_EQ(cached.counters().modelEvals, evals);
     expectSameFrontier(a, b);
@@ -262,9 +262,9 @@ TEST(FrontierMemo, MemoizedEqualsFresh)
     EXPECT_EQ(cache.frontierCount(), 2u);
 
     // K = 1 never touches the frontier memo (scalar hot path).
-    std::uint64_t fm = cache.frontMisses();
+    std::uint64_t fm = cache.counters().frontMisses;
     cached.searchMappingFrontier(hw, l, 1);
-    EXPECT_EQ(cache.frontMisses(), fm);
+    EXPECT_EQ(cache.counters().frontMisses, fm);
 }
 
 /** Frontier entries survive a save/load round trip bit-for-bit. */

@@ -13,6 +13,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <thread>
 
@@ -221,10 +222,40 @@ TEST(ObsMetrics, EnginePublishMetricsMirrorsCounters)
     obs::MetricsRegistry reg;
     engine.publishMetrics(reg);
     const obs::MetricsSnapshot s = reg.snapshot();
-    EXPECT_EQ(s.counters.at("dse.eval.model_evals"),
-              engine.evaluator().counters().modelEvals);
-    EXPECT_EQ(s.counters.at("dse.cache.inserts"),
-              engine.cache().counters().inserts);
+    const dse::CacheCounters cc = engine.cache().counters();
+    const dse::EvalCounters ec = engine.evaluator().counters();
+    const std::string readme =
+        slurp(std::string(LEGO_SOURCE_DIR) + "/src/obs/README.md");
+    ASSERT_FALSE(readme.empty());
+
+    // Every table row is published under its metric name with its
+    // struct field's value, and documented in the obs README.
+    std::set<std::string> tableMetrics;
+    for (const dse::CounterRow &row : dse::kCounterRows) {
+        tableMetrics.insert(row.metric);
+        const std::uint64_t want =
+            row.owner == dse::CounterOwner::Cache
+                ? dse::counterValue(cc, row.id)
+                : dse::counterValue(ec, row.id);
+        if (row.kind == dse::CounterKind::Gauge) {
+            ASSERT_TRUE(s.gauges.count(row.metric)) << row.metric;
+            EXPECT_EQ(s.gauges.at(row.metric), double(want))
+                << row.metric;
+        } else {
+            ASSERT_TRUE(s.counters.count(row.metric)) << row.metric;
+            EXPECT_EQ(s.counters.at(row.metric), want) << row.metric;
+        }
+        EXPECT_NE(readme.find(std::string("`") + row.metric + "`"),
+                  std::string::npos)
+            << row.metric << " missing from src/obs/README.md";
+    }
+    // ... and no cache/evaluator counter is published off the table.
+    for (const auto &kv : s.counters) {
+        if (kv.first.rfind("dse.cache.", 0) == 0 ||
+            kv.first.rfind("dse.eval.", 0) == 0) {
+            EXPECT_TRUE(tableMetrics.count(kv.first)) << kv.first;
+        }
+    }
     EXPECT_GT(s.counters.at("dse.eval.model_evals"), 0u);
 }
 

@@ -225,7 +225,7 @@ TEST(CacheCorruption, LoadStatusClassification)
     CostCache stale;
     EXPECT_EQ(stale.loadEx(path), CacheLoadStatus::Stale);
     EXPECT_EQ(stale.loadOrQuarantine(path), CacheLoadStatus::Stale);
-    EXPECT_EQ(stale.quarantined(), 0u);
+    EXPECT_EQ(stale.counters().quarantined, 0u);
     EXPECT_TRUE(fileExists(path)); // Still in place.
     CostCache reader; // Nor is a stale image mapped as a shared tier.
     EXPECT_FALSE(reader.attachShared(path));
@@ -253,7 +253,7 @@ TEST(CacheCorruption, QuarantineMovesFileAside)
     CostCache fresh;
     EXPECT_EQ(fresh.loadOrQuarantine(path),
               CacheLoadStatus::Corrupt);
-    EXPECT_EQ(fresh.quarantined(), 1u);
+    EXPECT_EQ(fresh.counters().quarantined, 1u);
     EXPECT_EQ(fresh.size(), 0u); // Cold start.
     EXPECT_FALSE(fileExists(path));
     EXPECT_TRUE(fileExists(aside));
@@ -265,7 +265,7 @@ TEST(CacheCorruption, QuarantineMovesFileAside)
     ASSERT_TRUE(cache.save(path));
     CostCache again;
     EXPECT_EQ(again.loadOrQuarantine(path), CacheLoadStatus::Loaded);
-    EXPECT_EQ(again.quarantined(), 0u);
+    EXPECT_EQ(again.counters().quarantined, 0u);
     std::remove(path.c_str());
     std::remove(aside.c_str());
 }

@@ -246,7 +246,7 @@ TEST(SegmentSearch, WorkerCountAndWarmDeterminism)
     ScheduleResult warm = e1.mapModelComposed(hw, m);
     EXPECT_TRUE(sameSchedule(r1, warm));
     expectSameSegments(r1.segments, warm.segments);
-    EXPECT_GT(e1.cache().segHits(), 0u);
+    EXPECT_GT(e1.cache().counters().segHits, 0u);
     EXPECT_GT(e1.segmentStats().movesTried, 0u);
 }
 
@@ -334,7 +334,7 @@ TEST(SegmentCache, V4RoundTripAndV2Rejected)
     Evaluator ev(&cold);
     SegmentPlan plan = dse::searchSegments(hw, m, ev, sopt);
     ASSERT_GT(cold.segmentCount(), 0u);
-    ASSERT_GT(cold.segInserts(), 0u);
+    ASSERT_GT(cold.counters().segInserts, 0u);
     ASSERT_TRUE(cold.save(path));
     EXPECT_EQ(CostCache::fileFormatVersion(), 5u);
 
@@ -350,8 +350,8 @@ TEST(SegmentCache, V4RoundTripAndV2Rejected)
     SegmentSearchStats stats;
     SegmentPlan again = dse::searchSegments(hw, m, warmEv, sopt, &stats);
     expectSameSegments(plan.segments, again.segments);
-    EXPECT_GT(warm.segHits(), 0u);
-    EXPECT_EQ(warm.segMisses(), 0u);
+    EXPECT_GT(warm.counters().segHits, 0u);
+    EXPECT_EQ(warm.counters().segMisses, 0u);
 
     // Patch the version word (offset 1) down to 2: a v2-era file —
     // no segment section — must be rejected, never misread.

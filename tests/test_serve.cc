@@ -472,7 +472,7 @@ TEST(ServeLoop, CoalescingJoinsDuplicatesWithZeroWork)
                 << i << "/" << s;
         // ...under the follower's own identity and zero work.
         EXPECT_EQ(rs[i].stats.dse.modelEvals, 0u) << i;
-        EXPECT_EQ(rs[i].stats.dse.cacheHits, 0u) << i;
+        EXPECT_EQ(rs[i].stats.dse.hits, 0u) << i;
         EXPECT_EQ(rs[i].stats.dse.frontHits, 0u) << i;
     }
     EXPECT_EQ(rs[1].id, "dup");
@@ -611,8 +611,8 @@ TEST(ServeLoop, PerRequestStatsExactUnderOverlap)
         EXPECT_EQ(overlapped[i].stats.dse.modelEvals,
                   serial[i].stats.dse.modelEvals)
             << i;
-        EXPECT_EQ(overlapped[i].stats.dse.cacheMisses,
-                  serial[i].stats.dse.cacheMisses)
+        EXPECT_EQ(overlapped[i].stats.dse.misses,
+                  serial[i].stats.dse.misses)
             << i;
         EXPECT_EQ(overlapped[i].stats.dse.mappingsPruned,
                   serial[i].stats.dse.mappingsPruned)

@@ -12,8 +12,10 @@ Usage:
                 [--require-segment-dominance]]
 
 Metrics snapshots carrying DSE engine counters must include the
-dse.segment.* segmentation-search family and the
-dse.cache.quarantined corruption counter; snapshots carrying serve.*
+dse.segment.* segmentation-search family and every dse.cache.* /
+dse.eval.* metric of the counter table in src/dse/counters.hh (as a
+gauge for its Gauge rows, as a counter otherwise); snapshots carrying
+serve.*
 counters must include the robustness family (serve.shed,
 serve.degraded, serve.stalled, serve.internal_errors counters and
 the serve.queue_depth gauge) and the concurrency family
@@ -42,9 +44,27 @@ message. Stdlib only — runs on a bare CI python3.
 
 import argparse
 import json
+import os
+import re
 import sys
 
 FAILURES = []
+
+# One LEGO_DSE_COUNTERS row: X(set, owner, field, kind, "metric", ...
+COUNTER_ROW = re.compile(r'X\(set,[\s\\]*\w+,[\s\\]*\w+,[\s\\]*(\w+),'
+                         r'[\s\\]*"([^"]+)"')
+
+
+def counter_table():
+    """(counter, gauge) metric names of src/dse/counters.hh."""
+    path = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                        "..", "src", "dse", "counters.hh")
+    with open(path) as f:
+        rows = COUNTER_ROW.findall(f.read())
+    if not rows:
+        sys.exit(f"check_obs: no counter rows parsed from {path}")
+    return ([m for kind, m in rows if kind != "Gauge"],
+            [m for kind, m in rows if kind == "Gauge"])
 
 
 def fail(msg):
@@ -104,23 +124,17 @@ def check_stats(path, expect_failpoints=None,
                             f"{key!r}")
     counters = serve["counters"]
     # Any snapshot carrying DSE engine counters must also carry the
-    # segmentation-search family and the cache-corruption counter
+    # segmentation-search family and every row of the counter table
     # (zero-valued when nothing fired — the counters exist either
     # way).
     if any(name.startswith("dse.") for name in counters):
-        for name in ("dse.segment.runs", "dse.segment.moves",
+        table_counters, table_gauges = counter_table()
+        for name in ["dse.segment.runs", "dse.segment.moves",
                      "dse.segment.plans", "dse.segment.infeasible",
-                     "dse.segment.accepted", "dse.cache.seg_hits",
-                     "dse.cache.seg_misses",
-                     "dse.cache.quarantined", "dse.cache.evictions",
-                     "dse.cache.shared_hits",
-                     "dse.cache.shared_front_hits",
-                     "dse.cache.shared_seg_hits",
-                     "dse.cache.remaps"):
+                     "dse.segment.accepted"] + table_counters:
             if name not in counters:
                 return fail(f"{path}: counters missing {name!r}")
-        for name in ("dse.cache.resident_bytes",
-                     "dse.cache.generation"):
+        for name in table_gauges:
             if name not in serve["gauges"]:
                 return fail(f"{path}: gauges missing {name!r}")
     # A serving snapshot must carry the full robustness family, so
