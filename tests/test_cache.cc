@@ -177,9 +177,13 @@ TEST(CacheEviction, WarmFrontierHitRateSurvivesBoundedReplay)
     EXPECT_GT(bounded.counters().evictions, 0u);
     EXPECT_LE(bounded.residentBytes(), full / 2);
 
+    // The warm replay runs on a FRESH thread: L0 is thread-local, so
+    // the calling thread's L0 would answer it and the bounded L1
+    // under test would never be read.
     const CacheCounters before = bounded.counters();
-    std::vector<dse::MappingFrontier> warm =
-        ev.mapModelFrontier(hw, m, 4);
+    std::vector<dse::MappingFrontier> warm;
+    std::thread t([&] { warm = ev.mapModelFrontier(hw, m, 4); });
+    t.join();
     const CacheCounters delta = bounded.counters() - before;
     EXPECT_GT(delta.frontHits, 0u);
     EXPECT_EQ(delta.frontMisses, 0u); // 100% warm frontier hits.
