@@ -28,13 +28,14 @@
  * (latency_ratio < 1 and energy_ratio < 1 in BENCH_dse.json,
  * schema 3).
  *
- * The cache_eviction section (schema 5) covers the bounded cost
- * cache: a frontier-valued zoo replay against a cache capped at half
- * its measured working set must evict, stay within the byte budget,
- * and keep its warm frontier-hit rate within 10 points of the
- * unbounded ideal (exit 1 otherwise) — evidence that the cost-aware
- * eviction order protects expensive frontier memos over
- * cheap-to-recompute scalars at production scale.
+ * The cache_eviction section (schema 6) covers the bounded cost
+ * cache with a frontier-valued zoo replay (exit 1 unless both hold):
+ * capped at half its measured working set it must evict, stay within
+ * the byte budget and answer exactly the unbounded frontiers; capped
+ * at a fixed 299,064 B it must keep its warm frontier-hit rate within
+ * 10 points of the unbounded ideal. Every sweep also reports its
+ * frontier sweeps (`searches`); serve_replay's warm pass must run
+ * none.
  *
  * Observability numbers in BENCH_dse.json:
  *  - per-sweep p50/p95/p99 request-latency percentiles (serve_replay
@@ -116,7 +117,7 @@ naivePolicy()
     p.pruneMappings = false;
     // The naive reference must re-sweep every repeated layer shape
     // itself, not copy a memoized frontier produced by the very
-    // mechanism under test.
+    // mechanism under test: it scores every tiling of every layer.
     p.memoFrontiers = false;
     return p;
 }
@@ -389,9 +390,10 @@ sweepMultiModel()
  * BERT under varying objectives, budgets, and K — through a cold
  * ServeLoop that flushes its cache on shutdown, then through a
  * fresh loop warm-started from the flushed file. The baseline gate
- * covers model_evals of the WARM pass, which must stay at 0: a warm
- * serve replay re-evaluates nothing; every answer comes out of the
- * persisted scalar/frontier memo, bit-identical to the cold pass.
+ * covers model_evals of the WARM pass, which must stay at 0, and the
+ * pass must run no frontier sweep: a warm serve replay re-evaluates
+ * nothing; every answer comes out of the persisted frontier memo,
+ * bit-identical to the cold pass.
  */
 SweepNumbers
 sweepServeReplay()
@@ -403,6 +405,7 @@ sweepServeReplay()
     const std::vector<serve::ServeRequest> trace =
         serve::demoTrace();
 
+    // Returns the frontier sweeps the pass's fresh engine ran.
     auto runPass = [&](std::vector<serve::ServeResponse> *out) {
         serve::ServeOptions sopt;
         sopt.hw.name = "LEGO-SERVE";
@@ -414,6 +417,7 @@ sweepServeReplay()
         loop.drain();
         *out = loop.responses();
         loop.shutdown();
+        return loop.engine().evaluator().counters().searches;
     };
 
     std::vector<serve::ServeResponse> cold, warm;
@@ -423,7 +427,7 @@ sweepServeReplay()
                              std::chrono::steady_clock::now() - t0)
                              .count();
     t0 = std::chrono::steady_clock::now();
-    runPass(&warm);
+    s.eval.searches = runPass(&warm);
     s.wallSeconds = std::chrono::duration<double>(
                         std::chrono::steady_clock::now() - t0)
                         .count();
@@ -471,26 +475,32 @@ sweepServeReplay()
 }
 
 /**
- * Bounded-cache eviction numbers (schema 5's cache_eviction
- * section). The sweep measures what the LRU policy protects: a
- * frontier-valued zoo replay is first run unbounded to size its
- * working set and pin the ideal warm frontier-hit rate, then rerun
- * against a cache capped at HALF that footprint — a 2x-over-capacity
- * replay. The cost-aware eviction order sacrifices cheap-to-recompute
- * scalar memos first, so the warm frontier-hit rate must survive
- * within 10 points of the unbounded ideal while the resident
- * footprint respects the bound with a nonzero eviction count.
+ * Bounded-cache eviction numbers (schema 6's cache_eviction
+ * section). A frontier-valued zoo replay is first run unbounded to
+ * size its working set, pin its frontiers and the ideal warm
+ * frontier-hit rate, then rerun under two byte caps:
+ *  - HALF the working set — a 2x-over-capacity replay. The bound
+ *    must be real (evictions), respected (resident <= cap), and must
+ *    never change an answer: every warm frontier equals the
+ *    unbounded one.
+ *  - kHitRateCapBytes, the bound this sweep used while each tiling
+ *    was memoized too (half of that era's 598,128 B working set).
+ *    The warm frontier-hit rate must stay within 10 points of the
+ *    unbounded ideal there.
  */
 struct EvictionNumbers
 {
     std::uint64_t workingSetBytes = 0; //!< Unbounded resident bytes.
     std::uint64_t capBytes = 0;        //!< Bound: workingSet / 2.
+    std::uint64_t evictions = 0;       //!< Under capBytes.
+    std::uint64_t residentBytes = 0;   //!< After the capBytes replay.
+    bool identicalFrontiers = false;   //!< capBytes warm == unbounded.
     double unboundedWarmRate = 0; //!< Ideal warm frontier-hit rate.
-    double boundedWarmRate = 0;   //!< Same replay under the bound.
-    std::uint64_t evictions = 0;
-    std::uint64_t residentBytes = 0; //!< After the bounded replay.
+    double boundedWarmRate = 0;   //!< Same replay, kHitRateCapBytes.
     bool ok = false;
 };
+
+constexpr std::uint64_t kHitRateCapBytes = 299064;
 
 EvictionNumbers
 sweepCacheEviction()
@@ -504,29 +514,62 @@ sweepCacheEviction()
                                             &bert};
     constexpr std::size_t kFront = 4;
 
+    using Fronts = std::vector<std::vector<dse::MappingFrontier>>;
     auto replay = [&](dse::Evaluator &ev) {
+        Fronts out;
         for (const Model *m : zoo)
-            ev.mapModelFrontier(hw, *m, kFront);
+            out.push_back(ev.mapModelFrontier(hw, *m, kFront));
+        return out;
     };
     // Warm passes run on a FRESH thread: L0 is thread-local, so a
     // new thread's empty L0 forces every lookup through the bounded
     // L1 — the tier whose eviction policy is under test. Rates off
     // the same-thread L0 would flatter any policy.
-    auto warmRate = [&](dse::Evaluator &ev, dse::CostCache &cache) {
+    auto warmPass = [&](dse::Evaluator &ev, dse::CostCache &cache,
+                        Fronts *fronts) {
         const dse::CacheCounters before = cache.counters();
-        std::thread t([&] { replay(ev); });
+        std::thread t([&] { *fronts = replay(ev); });
         t.join();
         const dse::CacheCounters d = cache.counters() - before;
         const std::uint64_t lookups = d.frontHits + d.frontMisses;
         return lookups ? double(d.frontHits) / double(lookups) : 0.0;
     };
+    auto sameFronts = [](const Fronts &a, const Fronts &b) {
+        if (a.size() != b.size())
+            return false;
+        for (std::size_t m = 0; m < a.size(); ++m) {
+            if (a[m].size() != b[m].size())
+                return false;
+            for (std::size_t l = 0; l < a[m].size(); ++l) {
+                const auto &pa = a[m][l].points(), &pb = b[m][l].points();
+                if (pa.size() != pb.size())
+                    return false;
+                for (std::size_t i = 0; i < pa.size(); ++i)
+                    if (pa[i].seq != pb[i].seq ||
+                        pa[i].result.cycles != pb[i].result.cycles ||
+                        pa[i].result.energyPj != pb[i].result.energyPj)
+                        return false;
+            }
+        }
+        return true;
+    };
 
+    Fronts ideal;
     {
         dse::CostCache cache; // Unbounded working-set baseline.
         dse::Evaluator ev(&cache);
-        replay(ev);
+        ideal = replay(ev);
         n.workingSetBytes = cache.residentBytes();
-        n.unboundedWarmRate = warmRate(ev, cache);
+        Fronts warm;
+        n.unboundedWarmRate = warmPass(ev, cache, &warm);
+    }
+    {
+        dse::CostCache cache;
+        cache.setCapacity(kHitRateCapBytes, 0);
+        dse::Evaluator ev(&cache);
+        replay(ev);
+        Fronts warm;
+        n.boundedWarmRate = warmPass(ev, cache, &warm);
     }
 
     n.capBytes = n.workingSetBytes / 2;
@@ -534,10 +577,13 @@ sweepCacheEviction()
     cache.setCapacity(n.capBytes, 0);
     dse::Evaluator ev(&cache);
     replay(ev); // Cold: fills past the bound, eviction batches fire.
-    n.boundedWarmRate = warmRate(ev, cache);
+    Fronts warm;
+    warmPass(ev, cache, &warm);
     n.evictions = cache.counters().evictions;
     n.residentBytes = cache.residentBytes();
+    n.identicalFrontiers = sameFronts(ideal, warm);
     n.ok = n.evictions > 0 && n.residentBytes <= n.capBytes &&
+           n.identicalFrontiers &&
            n.boundedWarmRate >= n.unboundedWarmRate - 0.10;
     return n;
 }
@@ -705,28 +751,33 @@ writeJson(const std::string &path,
     std::ofstream out(path);
     out << "{\n";
     out << "  \"bench\": \"bench_dse_perf\",\n";
-    out << "  \"schema\": 5,\n";
+    out << "  \"schema\": 6,\n";
     out << "  \"build\": " << obs::buildInfo().toJson() << ",\n";
     {
-        // Schema 5: the cache_eviction section — the bounded-cache
-        // replay at half the measured working set, with the warm
-        // frontier-hit-rate survival gate.
-        char buf[512];
+        // Schema 6: the cache_eviction section — the bounded-cache
+        // replay at half the measured working set (evictions, byte
+        // budget, identical frontiers) and the warm frontier-hit
+        // rate at the fixed hit_rate_cap_bytes.
+        char buf[640];
         std::snprintf(
             buf, sizeof(buf),
             "  \"cache_eviction\": {\n"
             "    \"working_set_bytes\": %llu,\n"
             "    \"cap_bytes\": %llu,\n"
-            "    \"unbounded_warm_front_hit_rate\": %.4f,\n"
-            "    \"bounded_warm_front_hit_rate\": %.4f,\n"
             "    \"evictions\": %llu,\n"
             "    \"resident_bytes\": %llu,\n"
+            "    \"identical_frontiers\": %s,\n"
+            "    \"hit_rate_cap_bytes\": %llu,\n"
+            "    \"unbounded_warm_front_hit_rate\": %.4f,\n"
+            "    \"bounded_warm_front_hit_rate\": %.4f,\n"
             "    \"ok\": %s\n  },\n",
             (unsigned long long)evict.workingSetBytes,
             (unsigned long long)evict.capBytes,
-            evict.unboundedWarmRate, evict.boundedWarmRate,
             (unsigned long long)evict.evictions,
             (unsigned long long)evict.residentBytes,
+            evict.identicalFrontiers ? "true" : "false",
+            (unsigned long long)kHitRateCapBytes,
+            evict.unboundedWarmRate, evict.boundedWarmRate,
             evict.ok ? "true" : "false");
         out << buf;
     }
@@ -779,6 +830,7 @@ writeJson(const std::string &path,
             "      \"model_evals\": %llu,\n"
             "      \"naive_model_evals\": %llu,\n"
             "      \"eval_reduction\": %.2f,\n"
+            "      \"searches\": %llu,\n"
             "      \"l0_hits\": %llu,\n"
             "      \"l0_misses\": %llu,\n"
             "      \"l1_hits\": %llu,\n"
@@ -801,6 +853,7 @@ writeJson(const std::string &path,
             "    }%s\n",
             s.name.c_str(), (unsigned long long)s.eval.modelEvals,
             (unsigned long long)s.naiveModelEvals, s.reduction(),
+            (unsigned long long)s.eval.searches,
             (unsigned long long)s.cache.l0Hits,
             (unsigned long long)s.cache.l0Misses,
             (unsigned long long)s.cache.hits,
@@ -958,8 +1011,8 @@ main(int argc, char **argv)
     }
 
     // The serving acceptance number: a warm serve replay must hit
-    // >= 90% of its frontier lookups (it actually hits 100%) and
-    // re-evaluate nothing.
+    // >= 90% of its frontier lookups (it actually hits 100%),
+    // re-evaluate nothing and sweep nothing.
     const SweepNumbers &serveSweep = sweeps.back();
     if (serveSweep.warmFrontHitRate < 0.90) {
         std::printf("FAIL: %s warm frontier hit rate %.1f%% < 90%%\n",
@@ -972,6 +1025,13 @@ main(int argc, char **argv)
                     "(want 0)\n",
                     serveSweep.name.c_str(),
                     (unsigned long long)serveSweep.eval.modelEvals);
+        ok = false;
+    }
+    if (serveSweep.eval.searches != 0) {
+        std::printf("FAIL: %s warm pass ran %llu frontier sweeps "
+                    "(want 0)\n",
+                    serveSweep.name.c_str(),
+                    (unsigned long long)serveSweep.eval.searches);
         ok = false;
     }
 
@@ -1065,25 +1125,31 @@ main(int argc, char **argv)
         }
     }
 
-    // The bounded-cache acceptance number (schema 5's cache_eviction
+    // The bounded-cache acceptance number (schema 6's cache_eviction
     // section): a frontier replay at 2x over capacity must evict
-    // (the bound is real), respect the byte budget, and still answer
-    // warm frontier lookups within 10 points of the unbounded ideal
-    // — the cost-aware eviction order protects the expensive memos.
+    // (the bound is real), respect the byte budget and answer
+    // exactly the unbounded frontiers; at kHitRateCapBytes it must
+    // answer warm frontier lookups within 10 points of the unbounded
+    // ideal.
     const EvictionNumbers evict = sweepCacheEviction();
-    std::printf("cache_eviction: working set %llu B, cap %llu B, "
-                "warm frontier hit rate %.1f%% bounded vs %.1f%% "
-                "unbounded, %llu evictions, %llu B resident\n",
+    std::printf("cache_eviction: working set %llu B, cap %llu B: "
+                "%llu evictions, %llu B resident, frontiers %s; "
+                "warm frontier hit rate %.1f%% at %llu B vs %.1f%% "
+                "unbounded\n",
                 (unsigned long long)evict.workingSetBytes,
                 (unsigned long long)evict.capBytes,
-                100.0 * evict.boundedWarmRate,
-                100.0 * evict.unboundedWarmRate,
                 (unsigned long long)evict.evictions,
-                (unsigned long long)evict.residentBytes);
+                (unsigned long long)evict.residentBytes,
+                evict.identicalFrontiers ? "identical" : "DIVERGED",
+                100.0 * evict.boundedWarmRate,
+                (unsigned long long)kHitRateCapBytes,
+                100.0 * evict.unboundedWarmRate);
     if (!evict.ok) {
         std::printf("FAIL: cache_eviction bounded replay (want "
-                    "evictions > 0, resident <= cap, bounded warm "
-                    "rate >= unbounded - 0.10)\n");
+                    "evictions > 0, resident <= cap, identical "
+                    "frontiers, warm rate at %llu B >= unbounded - "
+                    "0.10)\n",
+                    (unsigned long long)kHitRateCapBytes);
         ok = false;
     }
 

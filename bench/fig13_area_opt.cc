@@ -87,10 +87,10 @@ main()
                         100.0 * (1.0 - lean->areaMm2 / fast->areaMm2));
     }
     std::printf("frontier %zu points from %zu candidates (%.2fs, "
-                "cache %llu hits)\n",
+                "%llu layer-frontier memo hits)\n",
                 r.archive.size(), r.stats.evaluated,
                 r.stats.wallSeconds,
-                (unsigned long long)r.stats.hits);
+                (unsigned long long)r.stats.frontHits);
 
     // ---- feasibility-pruned exploration of a widened L1 sweep ------
     // Undersized L1 options cannot hold even the smallest tile of

@@ -87,10 +87,10 @@ main()
                                            fast->energyPj));
     }
     std::printf("frontier %zu points from %zu candidates (%.2fs, "
-                "cache %llu hits)\n",
+                "%llu layer-frontier memo hits)\n",
                 r.archive.size(), r.stats.evaluated,
                 r.stats.wallSeconds,
-                (unsigned long long)r.stats.hits);
+                (unsigned long long)r.stats.frontHits);
 
     // ---- genetic search vs the exhaustive frontier -----------------
     // SparseMap-style evolution over the candidate digits should get

@@ -94,10 +94,10 @@ main()
     std::printf("-> %.1f%% energy/power reduction at equal-or-better "
                 "latency (paper: 9%%)\n",
                 100.0 * (1.0 - searched_e / fixed_e));
-    std::printf("memo cache: %zu unique layer-mapping costings "
-                "(%llu hits)\n",
-                mappingEngine.cache().size(),
-                (unsigned long long)mappingEngine.cache().counters().hits);
+    std::printf("memo cache: %zu layer frontiers (%llu hits)\n",
+                mappingEngine.cache().frontierCount(),
+                (unsigned long long)
+                    mappingEngine.cache().counters().frontHits);
 
     // ---- 2. hardware DSE in the Eyeriss-equivalent box -------------
     std::printf("\n=== Hardware DSE, Eyeriss-equivalent resource box "
@@ -110,10 +110,10 @@ main()
     dse::DsePoint base = engine.evaluate(eyeriss, rn50);
     dse::DseResult r = engine.explore(space, rn50);
     std::printf("evaluated %zu candidates, frontier %zu points, "
-                "cache %llu hits / %llu misses, %.2fs\n",
+                "frontier memo %llu hits / %llu misses, %.2fs\n",
                 r.stats.evaluated, r.archive.size(),
-                (unsigned long long)r.stats.hits,
-                (unsigned long long)r.stats.misses,
+                (unsigned long long)r.stats.frontHits,
+                (unsigned long long)r.stats.frontMisses,
                 r.stats.wallSeconds);
     std::printf("hot path: %llu model evals, %llu tilings pruned "
                 "(%llu whole dataflows), %llu layers deduped, "
@@ -175,26 +175,26 @@ main()
     dse::DseResult rc = cold.explore(space, rn50);
     bool saved = cold.saveCache();
     std::printf("cold run: %zu evals (%zu pruned), %llu hits / %llu "
-                "misses, cache of %zu costings %s\n",
+                "misses, cache of %zu frontiers %s\n",
                 rc.stats.evaluated, rc.stats.pruned,
-                (unsigned long long)rc.stats.hits,
-                (unsigned long long)rc.stats.misses,
-                cold.cache().size(),
+                (unsigned long long)rc.stats.frontHits,
+                (unsigned long long)rc.stats.frontMisses,
+                cold.cache().frontierCount(),
                 saved ? "saved" : "NOT SAVED");
     dse::DseEngine warm(copt); // Warm-starts from the file.
     dse::DseResult rw = warm.explore(space, rn50);
     double lookups =
-        double(rw.stats.hits + rw.stats.misses);
+        double(rw.stats.frontHits + rw.stats.frontMisses);
     double hitRate =
-        lookups > 0 ? double(rw.stats.hits) / lookups : 0.0;
+        lookups > 0 ? double(rw.stats.frontHits) / lookups : 0.0;
     bool warmOk = saved && sameFrontier(rc.archive, rw.archive) &&
                   hitRate > 0.9;
     std::printf("warm run: %zu evals, %llu hits / %llu misses "
                 "(%.1f%% hit rate), identical frontier, >90%% hits: "
                 "%s\n",
                 rw.stats.evaluated,
-                (unsigned long long)rw.stats.hits,
-                (unsigned long long)rw.stats.misses,
+                (unsigned long long)rw.stats.frontHits,
+                (unsigned long long)rw.stats.frontMisses,
                 100.0 * hitRate, warmOk ? "yes" : "NO");
     std::remove(cachePath.c_str());
 

@@ -14,8 +14,9 @@
  *   - every request of both passes succeeded,
  *   - the two passes' schedules are bit-identical (warm answers are
  *     exactly the cold answers),
- *   - the warm pass made zero performance-model evaluations and hit
- *     >= 90% of its frontier-memo lookups.
+ *   - the warm pass made zero performance-model evaluations, ran
+ *     zero frontier sweeps, and hit >= 90% of its frontier-memo
+ *     lookups.
  *
  * CI runs this as the serve-smoke step of all three jobs.
  *
@@ -51,8 +52,9 @@
  *                        the mmap'd read-mostly cache tier (no
  *                        private cache file, L0/L1 start empty) and
  *                        replay the trace once. Exit 0 requires
- *                        every request ok, zero model evaluations,
- *                        >= 90% frontier hit rate, and >= 1 frontier
+ *                        every request ok, zero model evaluations
+ *                        and frontier sweeps, >= 90% frontier hit
+ *                        rate, and >= 1 frontier
  *                        hit actually served from the mapped tier —
  *                        i.e. all warmth demonstrably came from the
  *                        published snapshot. A writer publishes that
@@ -112,6 +114,7 @@ struct PassNumbers
 {
     std::vector<serve::ServeResponse> responses;
     std::uint64_t modelEvals = 0;
+    std::uint64_t searches = 0; //!< Frontier sweeps the pass ran.
     std::uint64_t frontHits = 0;
     std::uint64_t frontMisses = 0;
     std::uint64_t sharedFrontHits = 0;
@@ -245,6 +248,7 @@ runPass(const char *label, const std::vector<TraceLine> &lines,
 
     PassNumbers pass;
     pass.responses = loop.responses();
+    pass.searches = loop.engine().evaluator().counters().searches;
     for (const serve::ServeResponse &r : pass.responses) {
         const dse::DseStats &s = r.stats.dse;
         pass.modelEvals += s.modelEvals;
@@ -274,10 +278,11 @@ runPass(const char *label, const std::vector<TraceLine> &lines,
     if (!loop.shutdown())
         std::printf("  warning: cache flush to %s failed\n",
                     cachePath.c_str());
-    std::printf("pass %-5s %zu requests, evals=%llu, frontier "
-                "hits %llu/%llu (%.1f%%), wall=%.3fs\n",
+    std::printf("pass %-5s %zu requests, evals=%llu, sweeps=%llu, "
+                "frontier hits %llu/%llu (%.1f%%), wall=%.3fs\n",
                 label, pass.responses.size(),
                 (unsigned long long)pass.modelEvals,
+                (unsigned long long)pass.searches,
                 (unsigned long long)pass.frontHits,
                 (unsigned long long)(pass.frontHits +
                                      pass.frontMisses),
@@ -685,6 +690,12 @@ main(int argc, char **argv)
                         (unsigned long long)pass.modelEvals);
             ok = false;
         }
+        if (pass.searches != 0) {
+            std::printf("FAIL: reader ran %llu frontier sweeps "
+                        "(want 0)\n",
+                        (unsigned long long)pass.searches);
+            ok = false;
+        }
         if (pass.frontierHitRate() < 0.90) {
             std::printf("FAIL: reader frontier hit rate %.1f%% < "
                         "90%%\n",
@@ -776,9 +787,15 @@ main(int argc, char **argv)
                     (unsigned long long)warm.modelEvals);
         ok = false;
     }
+    if (warm.searches != 0) {
+        std::printf("FAIL: warm pass ran %llu frontier sweeps "
+                    "(want 0)\n",
+                    (unsigned long long)warm.searches);
+        ok = false;
+    }
     if (warm.frontHits + warm.frontMisses == 0) {
         std::printf("FAIL: warm pass made no frontier lookups — "
-                    "trace has no K > 1 requests?\n");
+                    "trace has no tensor layers?\n");
         ok = false;
     } else if (warm.frontierHitRate() < 0.90) {
         std::printf("FAIL: warm frontier hit rate %.1f%% < 90%%\n",

@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <optional>
 #include <tuple>
 #include <utility>
 
@@ -50,26 +49,30 @@ bitsDouble(std::uint64_t u)
  * stale files are rejected instead of misread.
  */
 const char kCacheFileSchema[] =
-    "CacheKey{words[32]:rows,cols,l1Kb,freqGhz,dram.bandwidthGBs,"
+    "CacheKey{words[32]:hw13{rows,cols,l1Kb,freqGhz,dram.bandwidthGBs,"
     "dram.energyPerBytePj,dram.burstBytes,numPpus,dataBits,l2X,l2Y,"
-    "naiveFusion,dataflows4b<=16,kind,n,ic,oc,oh,ow,kh,kw,stride,m,k,"
-    "nOut,batchAmortized,ppu,elems,dataflow,tm,tn,tk}"
+    "naiveFusion,dataflows4b<=16},0-padded}"
+    "FrontierKey{hw13,sig15{kind,n,ic,oc,oh,ow,kh,kw,stride,m,k,nOut,"
+    "batchAmortized,ppu,elems},K}"
     "LayerResult{cycles,utilization,dramBytes,energyPj,macs,"
     "memoryBound}"
-    "FrontierKey{mapping:=sentinel,K,0,0}"
     "FrontierPoint{dataflow,tm,tn,tk,LayerResult,seq}"
-    "SegmentKey{hw13,sentinel2,stageCount,tag[stageCount]}"
+    "SegmentKey{hw13,stageCount,tag[stageCount]}"
     "SegmentStage{sig15,cols,mapping4,LayerResult}"
     "SegmentCost{feasible,cycles,energyPj,dramBytes,bufferBytes,"
     "nocBytes,nocEnergyPj,sramEnergyPj,dramBytesSaved}"
-    "Header16{magic,version,schema,generation,slots/count x3,"
-    "heapWords,totalWords,rsv2,bodyCrc32,headerCrc32}"
+    "Header12{magic,version,schema,generation,slots/count x2,"
+    "heapWords,totalWords,bodyCrc32,headerCrc32}"
     "SlotTable{pow2,open-addressed,entryIndex+1}"
-    "Entries{scalar:key32+result6;front:key32,points,heapOff;"
-    "seg:key32,stages,heapOff}Heap{front:points*11;seg:stages*26+9}";
+    "Entries{front:key32,points,heapOff;seg:key32,stages,heapOff}"
+    "Heap{front:points*11;seg:stages*26+9}";
 
 constexpr std::uint64_t kCacheFileMagic = 0x4c45474f44534543ull;
-/** v5: mmap-able snapshot — fixed 16-word header (generation stamp,
+/** v6: two record kinds, frontier and segment, under a 12-word
+ *  header. The per-mapping scalar kind with its region and header
+ *  words, the reserved header words and the key-kind sentinels are
+ *  gone (each kind has its own table, so keys need not be disjoint).
+ *  v5: mmap-able snapshot — fixed 16-word header (generation stamp,
  *  header+body CRC32), per-kind open-addressed slot tables,
  *  fixed-stride entry arrays, variable-length heap. The same bytes
  *  back loadEx (merge) and the shared read-mostly tier (probe in
@@ -78,19 +81,11 @@ constexpr std::uint64_t kCacheFileMagic = 0x4c45474f44534543ull;
  *  v3: segment-entry section appended (inter-layer pipelining).
  *  v2: frontier-entry section appended (PR 4). Older files are
  *  rejected by the version check — deliberate cold start. */
-constexpr std::uint64_t kCacheFileVersion = 5;
-
-/** Mapping-slot sentinel marking a frontier key. No per-mapping key
- *  can carry it: real dataflow tags are small enum values. */
-constexpr std::uint64_t kFrontierKeySentinel = ~0ull;
-
-/** Sentinel word marking a segment key, distinct from the frontier
- *  sentinel so the three key spaces stay disjoint. */
-constexpr std::uint64_t kSegmentKeySentinel = ~0ull - 1;
+constexpr std::uint64_t kCacheFileVersion = 6;
 
 /**
  * CRC32 (IEEE 802.3, reflected 0xEDB88320) over a byte range — the
- * header/body checksums of cache format v5. Table-driven; computed
+ * header/body checksums of the cache file. Table-driven; computed
  * identically at save and load so any flipped bit is caught even
  * when the size prechecks still pass.
  */
@@ -113,30 +108,26 @@ crc32Of(const char *data, std::size_t n)
     return c ^ 0xFFFFFFFFu;
 }
 
-// ---- v5 layout constants (all sizes in 64-bit words) ----------------
+// ---- v6 layout constants (all sizes in 64-bit words) ----------------
 
 /** Header word indices. Every header word except the trailing
  *  headerCrc itself is covered by headerCrc, so a flip anywhere in
- *  the 128-byte header (reserved words included) is caught. */
+ *  the 96-byte header is caught. */
 enum : std::size_t
 {
     kHdrMagic = 0,
     kHdrVersion = 1,
     kHdrSchema = 2,
     kHdrGeneration = 3,
-    kHdrScalarSlots = 4,
-    kHdrScalarCount = 5,
-    kHdrFrontSlots = 6,
-    kHdrFrontCount = 7,
-    kHdrSegSlots = 8,
-    kHdrSegCount = 9,
-    kHdrHeapWords = 10,
-    kHdrTotalWords = 11,
-    kHdrReserved0 = 12,
-    kHdrReserved1 = 13,
-    kHdrBodyCrc = 14,
-    kHdrHeaderCrc = 15,
-    kHeaderWords = 16,
+    kHdrFrontSlots = 4,
+    kHdrFrontCount = 5,
+    kHdrSegSlots = 6,
+    kHdrSegCount = 7,
+    kHdrHeapWords = 8,
+    kHdrTotalWords = 9,
+    kHdrBodyCrc = 10,
+    kHdrHeaderCrc = 11,
+    kHeaderWords = 12,
 };
 
 
@@ -301,14 +292,14 @@ readSegmentCost(const std::uint64_t *w)
     return c;
 }
 
-/** Fill the hardware section of a key (shared by all key kinds). */
+/** Fill the hardware section of a key (shared by both key kinds). */
 std::size_t
 hwPrefix(const HardwareConfig &hw, CacheKey *key)
 {
     std::size_t i = 0;
     auto put = [&](std::uint64_t w) {
         if (i >= key->words.size())
-            panic("makeCacheKey: key word capacity exceeded — grow "
+            panic("cache key: key word capacity exceeded — grow "
                   "CacheKey::words for the newly keyed field");
         key->words[i++] = w;
     };
@@ -331,34 +322,13 @@ hwPrefix(const HardwareConfig &hw, CacheKey *key)
     // 16 tags; a longer list would shift earlier tags out and let two
     // distinct configs collide on one key, so it is a hard error.
     if (hw.dataflows.size() > 16)
-        panic("makeCacheKey: more than 16 dataflow tags cannot be "
+        panic("cache key: more than 16 dataflow tags cannot be "
               "packed into one key word — spill to a second word "
               "before keying such configs");
     std::uint64_t dfs = 0;
     for (DataflowTag t : hw.dataflows)
         dfs = (dfs << 4) | (std::uint64_t(t) + 1);
     put(dfs);
-    return i;
-}
-
-/**
- * Fill the shared hardware + layer sections of a key; returns the
- * next free word index so callers append their own mapping section.
- */
-std::size_t
-keyPrefix(const HardwareConfig &hw, const Layer &l, CacheKey *key)
-{
-    std::size_t i = hwPrefix(hw, key);
-    // Layer shape (name and repeat excluded on purpose). Sourced
-    // from the canonical LayerSignature serialization, so the
-    // layer-class dedup and the cache key can never key on
-    // different field sets.
-    for (std::uint64_t w : layerSignature(l).words()) {
-        if (i >= key->words.size())
-            panic("makeCacheKey: key word capacity exceeded — grow "
-                  "CacheKey::words for the newly keyed field");
-        key->words[i++] = w;
-    }
     return i;
 }
 
@@ -374,33 +344,21 @@ CacheKey::computeHash() const
 }
 
 CacheKey
-makeCacheKey(const HardwareConfig &hw, const Layer &l,
-             const Mapping &map)
-{
-    CacheKey key;
-    std::size_t i = keyPrefix(hw, l, &key);
-    // Mapping.
-    key.words[i++] = std::uint64_t(map.dataflow);
-    key.words[i++] = std::uint64_t(map.tm);
-    key.words[i++] = std::uint64_t(map.tn);
-    key.words[i++] = std::uint64_t(map.tk);
-    key.hashValue = key.computeHash();
-    return key;
-}
-
-CacheKey
 makeFrontierKey(const HardwareConfig &hw, const Layer &l,
                 std::size_t k)
 {
     CacheKey key;
-    std::size_t i = keyPrefix(hw, l, &key);
-    // Sentinel mapping section: (sentinel, K, 0, 0). The sentinel is
-    // not a representable dataflow tag, so frontier and per-mapping
-    // keys occupy disjoint key spaces.
-    key.words[i++] = kFrontierKeySentinel;
+    std::size_t i = hwPrefix(hw, &key);
+    if (i + LayerSignature::kWords + 1 > key.words.size())
+        panic("makeFrontierKey: key word capacity exceeded — grow "
+              "CacheKey::words for the newly keyed field");
+    // Layer shape (name and repeat excluded on purpose). Sourced
+    // from the canonical LayerSignature serialization, so the
+    // layer-class dedup and the cache key can never key on
+    // different field sets.
+    for (std::uint64_t w : layerSignature(l).words())
+        key.words[i++] = w;
     key.words[i++] = std::uint64_t(k);
-    key.words[i++] = 0;
-    key.words[i++] = 0;
     key.hashValue = key.computeHash();
     return key;
 }
@@ -420,11 +378,10 @@ makeSegmentKey(const HardwareConfig &hw,
 {
     CacheKey key;
     std::size_t i = hwPrefix(hw, &key);
-    if (i + 2 + stages.size() > key.words.size())
+    if (i + 1 + stages.size() > key.words.size())
         panic("makeSegmentKey: segment of " +
               std::to_string(stages.size()) +
               " stages exceeds the key's tag-word capacity");
-    key.words[i++] = kSegmentKeySentinel;
     key.words[i++] = std::uint64_t(stages.size());
     // One hashed tag word per stage. A tag collision is harmless:
     // the stored SegmentRecord carries the exact per-stage ids and
@@ -449,55 +406,22 @@ makeSegmentKey(const HardwareConfig &hw,
  *    (lower ranks are evicted first);
  *  - kHdrSlots/kHdrCount: its header slot-table size and entry-count
  *    words;
- *  - kL0Slots: its thread-local L0 size (0 = no L0);
- *  - its v5 layout: kEntryWords per fixed-stride entry (key
- *    included). Kinds with a heap payload (kItemWords != 0) store
- *    (item count, heap offset) after the key, and their heap record
- *    is kItemWords per item plus kTailWords, with at least kMinItems
- *    items. Kinds without one store the value inline;
- *  - put/decode: the value's payload words (inline or heap);
+ *  - its v6 layout: kEntryWords per fixed-stride entry (the key, then
+ *    the item count and heap offset), and a heap record of kItemWords
+ *    per item plus kTailWords, with at least kMinItems items;
+ *  - put/decode: the value's heap words;
  *  - kTable: its table in each Shard;
- *  - the counters (counters.hh rows) its traffic bumps.
+ *  - the counters (counters.hh rows) its L1 and shared-tier traffic
+ *    bumps.
  */
-
-struct CostCache::ScalarKind
-{
-    using Value = LayerResult;
-    using Check = NoCheck;
-    static constexpr std::uint8_t kRank = 0;
-    static constexpr std::size_t kHdrSlots = kHdrScalarSlots;
-    static constexpr std::size_t kHdrCount = kHdrScalarCount;
-    static constexpr std::size_t kL0Slots = 4096;
-    static constexpr std::uint64_t kEntryWords = kKeyWords + kResultWords;
-    static constexpr std::uint64_t kItemWords = 0;
-    static constexpr std::uint64_t kTailWords = 0;
-    static constexpr auto kTable = &Shard::map;
-    static constexpr CounterId kHits = CounterId::hits;
-    static constexpr CounterId kMisses = CounterId::misses;
-    static constexpr CounterId kInserts = CounterId::inserts;
-    static constexpr CounterId kSharedHits = CounterId::sharedHits;
-    static constexpr CounterId kL0Hits = CounterId::l0Hits;
-    static constexpr std::optional<CounterId> kL0Misses =
-        CounterId::l0Misses;
-
-    static std::uint64_t items(const Value &) { return 0; }
-    static bool matches(const Value &, const Check &) { return true; }
-    static void put(Blob &out, const Value &v) { putResult(out, v); }
-    static void decode(const std::uint64_t *w, std::uint64_t,
-                       Value *out)
-    {
-        *out = readResult(w);
-    }
-};
 
 struct CostCache::FrontierKind
 {
     using Value = std::vector<FrontierPoint>;
     using Check = NoCheck;
-    static constexpr std::uint8_t kRank = 1;
+    static constexpr std::uint8_t kRank = 0;
     static constexpr std::size_t kHdrSlots = kHdrFrontSlots;
     static constexpr std::size_t kHdrCount = kHdrFrontCount;
-    static constexpr std::size_t kL0Slots = 512;
     static constexpr std::uint64_t kEntryWords = kKeyWords + 2;
     static constexpr std::uint64_t kItemWords = kFrontierPointWords;
     static constexpr std::uint64_t kTailWords = 0;
@@ -505,14 +429,10 @@ struct CostCache::FrontierKind
      *  rejected at load instead of panicking mid-sweep later. */
     static constexpr std::uint64_t kMinItems = 1;
     static constexpr auto kTable = &Shard::fronts;
-    static constexpr CounterId kHits = CounterId::frontHits;
-    static constexpr CounterId kMisses = CounterId::frontMisses;
+    static constexpr CounterId kHits = CounterId::hits;
+    static constexpr CounterId kMisses = CounterId::misses;
     static constexpr CounterId kInserts = CounterId::frontInserts;
     static constexpr CounterId kSharedHits = CounterId::sharedFrontHits;
-    /** Frontier L0 hits count as frontier hits; L0 misses are not
-     *  counted (the L1 lookup behind them counts a hit or a miss). */
-    static constexpr CounterId kL0Hits = CounterId::frontHits;
-    static constexpr std::optional<CounterId> kL0Misses = std::nullopt;
 
     static std::uint64_t items(const Value &v) { return v.size(); }
     static bool matches(const Value &, const Check &) { return true; }
@@ -545,10 +465,9 @@ struct CostCache::SegmentKind
     /** The exact per-stage identity: a stored record whose id differs
      *  (hashed-tag collision) is a miss, preserving exactness. */
     using Check = std::vector<SegmentKeyId>;
-    static constexpr std::uint8_t kRank = 2;
+    static constexpr std::uint8_t kRank = 1;
     static constexpr std::size_t kHdrSlots = kHdrSegSlots;
     static constexpr std::size_t kHdrCount = kHdrSegCount;
-    static constexpr std::size_t kL0Slots = 0;
     static constexpr std::uint64_t kEntryWords = kKeyWords + 2;
     static constexpr std::uint64_t kItemWords = kSegmentStageWords;
     static constexpr std::uint64_t kTailWords = kSegmentCostWords;
@@ -598,15 +517,14 @@ template <class F>
 void
 CostCache::forEachKind(F &&f)
 {
-    f(ScalarKind{});
     f(FrontierKind{});
     f(SegmentKind{});
 }
 
-// ---- the v5 image: one validator, one decoder ------------------------
+// ---- the v6 image: one validator, one decoder ------------------------
 
 /**
- * Read-only view of one v5 file image: the mmap'd shared tier, or the
+ * Read-only view of one v6 file image: the mmap'd shared tier, or the
  * buffer loadEx read. open() is the single validator (header, both
  * CRCs, region layout, every slot and heap reference), so the
  * accessors trust the image; probes still bound their walk so even a
@@ -643,10 +561,7 @@ class CacheImage
     void decode(std::uint64_t e, typename K::Value *out) const
     {
         const std::uint64_t *ew = entry<K>(e) + kKeyWords;
-        if constexpr (K::kItemWords == 0)
-            K::decode(ew, 0, out);
-        else
-            K::decode(w_ + heapAt_ + ew[1], ew[0], out);
+        K::decode(w_ + heapAt_ + ew[1], ew[0], out);
     }
 
     /** Probe kind K's open-addressed table; decode on a match. */
@@ -696,8 +611,8 @@ class CacheImage
     }
 
     const std::uint64_t *w_ = nullptr;
-    std::array<std::uint64_t, 3> slotsAt_{};
-    std::array<std::uint64_t, 3> entriesAt_{};
+    std::array<std::uint64_t, 2> slotsAt_{};
+    std::array<std::uint64_t, 2> entriesAt_{};
     std::uint64_t heapAt_ = 0;
 };
 
@@ -710,7 +625,7 @@ CacheImage::open(const std::uint64_t *w, std::size_t bytes)
     // A wrong version or schema on an intact magic is a file from
     // another build — a DELIBERATE cold start, not corruption (so
     // loadOrQuarantine won't destroy a downgrade's still-good file).
-    // v4-and-earlier files land here: their word 1 is the old
+    // v5-and-earlier files land here: their word 1 is the old
     // version stamp.
     if (w[kHdrVersion] != kCacheFileVersion ||
         w[kHdrSchema] != CostCache::schemaHash())
@@ -753,22 +668,20 @@ CacheImage::open(const std::uint64_t *w, std::size_t bytes)
         const std::uint64_t n = count<K>();
         for (std::uint64_t i = 0; i < w[K::kHdrSlots]; ++i)
             ok = ok && w[slotsAt_[K::kRank] + i] <= n;
-        if constexpr (K::kItemWords != 0) {
-            for (std::uint64_t e = 0; e < n && ok; ++e) {
-                const std::uint64_t items = entry<K>(e)[kKeyWords];
-                const std::uint64_t off = entry<K>(e)[kKeyWords + 1];
-                ok = items >= K::kMinItems &&
-                     items <= heapWords / K::kItemWords &&
-                     heapWordsOf<K>(items) <= heapWords &&
-                     off <= heapWords - heapWordsOf<K>(items);
-            }
+        for (std::uint64_t e = 0; e < n && ok; ++e) {
+            const std::uint64_t items = entry<K>(e)[kKeyWords];
+            const std::uint64_t off = entry<K>(e)[kKeyWords + 1];
+            ok = items >= K::kMinItems &&
+                 items <= heapWords / K::kItemWords &&
+                 heapWordsOf<K>(items) <= heapWords &&
+                 off <= heapWords - heapWordsOf<K>(items);
         }
     });
     return ok ? CacheLoadStatus::Loaded : CacheLoadStatus::Corrupt;
 }
 
 /**
- * One immutable mapping of a published v5 snapshot, validated at
+ * One immutable mapping of a published v6 snapshot, validated at
  * map() time. Instances are shared_ptr-held: a remap publishes a new
  * instance while in-flight probes finish on the old one, which
  * unmaps when its last reference drops.
@@ -786,7 +699,7 @@ class SharedSnapshot
     SharedSnapshot &operator=(const SharedSnapshot &) = delete;
 
     /**
-     * mmap `path` read-only and validate it as a v5 snapshot.
+     * mmap `path` read-only and validate it as a v6 snapshot.
      * Returns null unless the file exists and CacheImage::open
      * accepts it — an unpublished, stale, or damaged file is simply
      * "no shared tier yet".
@@ -832,25 +745,23 @@ namespace
 {
 
 /**
- * Thread-local L0: direct-mapped open-addressing tables shared by
- * every CostCache a thread talks to (one table per kind with an L0).
- * Slots are tagged with the owning cache's process-unique id and
- * clear()-epoch; a mismatched tag is simply a miss, so stale entries
- * (other caches, cleared caches, reused addresses — ids are never
- * reused) cannot leak. Power-of-two sizes so the index is a mask of
- * the precomputed key hash.
+ * Thread-local frontier L0: a direct-mapped table shared by every
+ * CostCache a thread talks to. Slots are tagged with the owning
+ * cache's process-unique id and clear()-epoch; a mismatched tag is
+ * simply a miss, so stale entries (other caches, cleared caches,
+ * reused addresses — ids are never reused) cannot leak. Power-of-two
+ * size so the index is a mask of the precomputed key hash.
  */
-template <class V>
 struct L0Slot
 {
     bool used = false;
     std::uint64_t owner = 0;
     std::uint64_t epoch = 0;
     CacheKey key;
-    V val;
+    std::vector<FrontierPoint> val;
 
     void fill(std::uint64_t o, std::uint64_t e, const CacheKey &k,
-              const V &v)
+              const std::vector<FrontierPoint> &v)
     {
         used = true;
         owner = o;
@@ -860,25 +771,15 @@ struct L0Slot
     }
 };
 
-template <class V, std::size_t N>
-struct L0Table
-{
-    static_assert(N != 0 && (N & (N - 1)) == 0,
-                  "L0 size must be a power of two");
-    std::vector<L0Slot<V>> slots{N};
+constexpr std::size_t kL0Slots = 512;
+static_assert((kL0Slots & (kL0Slots - 1)) == 0,
+              "L0 size must be a power of two");
 
-    L0Slot<V> &slotFor(const CacheKey &key)
-    {
-        return slots[std::size_t(key.hashValue) & (N - 1)];
-    }
-};
-
-template <class K>
-L0Table<typename K::Value, K::kL0Slots> &
-tlsL0()
+L0Slot &
+l0SlotFor(const CacheKey &key)
 {
-    thread_local L0Table<typename K::Value, K::kL0Slots> table;
-    return table;
+    thread_local std::vector<L0Slot> slots(kL0Slots);
+    return slots[std::size_t(key.hashValue) & (kL0Slots - 1)];
 }
 
 std::uint64_t
@@ -958,14 +859,12 @@ CostCache::enforceCapacity()
                     targetEntries);
     };
 
-    // Rank every resident entry by (kind rank, last use): scalars
-    // first — they are cheap to rebuild (one model eval) and dominate
-    // the byte budget — then frontiers (each one reconstructs from a
-    // whole per-layer sweep), then segment records (whole per-stage
-    // searches). LRU within each kind. `evict` erases the entry from
-    // its kind's table unless it was touched since this snapshot (a
-    // re-used entry is hot again — skip it this batch) and returns
-    // the bytes freed.
+    // Rank every resident entry by (kind rank, last use): frontiers
+    // first (each one reconstructs from one per-layer sweep), then
+    // segment records (whole per-stage searches). LRU within each
+    // kind. `evict` erases the entry from its kind's table unless it
+    // was touched since this snapshot (a re-used entry is hot again —
+    // skip it this batch) and returns the bytes freed.
     using Evict = std::uint64_t (*)(Shard &, const CacheKey &,
                                     std::uint64_t lastUse);
     struct Cand
@@ -1078,7 +977,7 @@ CostCache::refreshShared()
 {
     if (!sharedAttached_.load(std::memory_order_acquire))
         return false;
-    // Cheap no-change path: read just the 128-byte header and
+    // Cheap no-change path: read just the 96-byte header and
     // compare generations before paying for a full map+validate.
     std::string path;
     std::uint64_t current;
@@ -1129,8 +1028,8 @@ CostCache::lookupIn(const CacheKey &key, const typename K::Check &check,
     // L1 miss: probe the mapped snapshot (no locks held — the
     // shared_ptr keeps the image alive). A shared hit counts as a
     // hit AND a shared hit; it is NOT copied into L1, so the
-    // snapshot's pages stay shared across processes (callers going
-    // through the *Fast lookups still promote into their L0).
+    // snapshot's pages stay shared across processes (frontier
+    // lookups still promote it into their L0).
     if (std::shared_ptr<const SharedSnapshot> snap =
             sharedSnapshot()) {
         if (snap->image().lookup<K>(key, check, out)) {
@@ -1171,38 +1070,6 @@ CostCache::insertIn(const CacheKey &key, const typename K::Value &val)
 }
 
 template <class K>
-bool
-CostCache::lookupFastIn(const CacheKey &key, typename K::Value *out)
-{
-    const std::uint64_t epoch = epoch_.load(std::memory_order_relaxed);
-    auto &slot = tlsL0<K>().slotFor(key);
-    if (slot.used && slot.owner == id_ && slot.epoch == epoch &&
-        slot.key == key) {
-        bumpStat(stats_, K::kL0Hits);
-        *out = slot.val;
-        return true;
-    }
-    if constexpr (K::kL0Misses.has_value())
-        bumpStat(stats_, *K::kL0Misses);
-    if (!lookupIn<K>(key, NoCheck{}, out))
-        return false;
-    // Promote the L1 (or shared-tier) hit so this worker's next
-    // lookup is lock-free.
-    slot.fill(id_, epoch, key, *out);
-    return true;
-}
-
-template <class K>
-void
-CostCache::insertFastIn(const CacheKey &key,
-                        const typename K::Value &val)
-{
-    insertIn<K>(key, val);
-    tlsL0<K>().slotFor(key).fill(
-        id_, epoch_.load(std::memory_order_relaxed), key, val);
-}
-
-template <class K>
 std::size_t
 CostCache::countIn() const
 {
@@ -1215,55 +1082,37 @@ CostCache::countIn() const
 }
 
 bool
-CostCache::lookup(const CacheKey &key, LayerResult *out)
-{
-    return lookupIn<ScalarKind>(key, NoCheck{}, out);
-}
-
-void
-CostCache::insert(const CacheKey &key, const LayerResult &result)
-{
-    insertIn<ScalarKind>(key, result);
-}
-
-bool
-CostCache::lookupFast(const CacheKey &key, LayerResult *out)
-{
-    return lookupFastIn<ScalarKind>(key, out);
-}
-
-void
-CostCache::insertFast(const CacheKey &key, const LayerResult &result)
-{
-    insertFastIn<ScalarKind>(key, result);
-}
-
-bool
-CostCache::lookupFrontier(const CacheKey &key,
-                          std::vector<FrontierPoint> *out)
-{
-    return lookupIn<FrontierKind>(key, NoCheck{}, out);
-}
-
-void
-CostCache::insertFrontier(const CacheKey &key,
-                          const std::vector<FrontierPoint> &points)
-{
-    insertIn<FrontierKind>(key, points);
-}
-
-bool
 CostCache::lookupFrontierFast(const CacheKey &key,
                               std::vector<FrontierPoint> *out)
 {
-    return lookupFastIn<FrontierKind>(key, out);
+    const std::uint64_t epoch = epoch_.load(std::memory_order_relaxed);
+    L0Slot &slot = l0SlotFor(key);
+    if (slot.used && slot.owner == id_ && slot.epoch == epoch &&
+        slot.key == key) {
+        bumpStat(stats_, CounterId::l0Hits);
+        bumpStat(stats_, CounterId::frontHits);
+        *out = slot.val;
+        return true;
+    }
+    bumpStat(stats_, CounterId::l0Misses);
+    if (!lookupIn<FrontierKind>(key, NoCheck{}, out)) {
+        bumpStat(stats_, CounterId::frontMisses);
+        return false;
+    }
+    bumpStat(stats_, CounterId::frontHits);
+    // Promote the L1 (or shared-tier) hit so this worker's next
+    // lookup is lock-free.
+    slot.fill(id_, epoch, key, *out);
+    return true;
 }
 
 void
 CostCache::insertFrontierFast(const CacheKey &key,
                               const std::vector<FrontierPoint> &points)
 {
-    insertFastIn<FrontierKind>(key, points);
+    insertIn<FrontierKind>(key, points);
+    l0SlotFor(key).fill(id_, epoch_.load(std::memory_order_relaxed),
+                        key, points);
 }
 
 bool
@@ -1286,7 +1135,7 @@ CostCache::insertSegment(const CacheKey &key, const SegmentRecord &rec)
 std::size_t
 CostCache::size() const
 {
-    return countIn<ScalarKind>();
+    return frontierCount() + segmentCount();
 }
 
 std::size_t
@@ -1358,7 +1207,7 @@ fsyncParentDir(const std::string &path)
 
 /**
  * Generation the publish of `body` (the new image past the header)
- * to `path` should stamp: the current valid v5 generation + 1, or 1
+ * to `path` should stamp: the current valid v6 generation + 1, or 1
  * on a fresh/invalid path. A byte-identical body REUSES the current
  * generation — the whole file then comes out bit-identical, so an
  * idempotent republish neither perturbs the artifact nor makes
@@ -1394,7 +1243,7 @@ generationFor(const std::string &path, const char *body,
     return same ? gen : gen + 1;
 }
 
-/** Build a v5 open-addressed slot table over per-entry key hashes. */
+/** Build a v6 open-addressed slot table over per-entry key hashes. */
 std::vector<std::uint64_t>
 buildSlotTable(const std::vector<std::uint64_t> &hashes)
 {
@@ -1421,9 +1270,7 @@ CostCache::save(const std::string &path) const
     LEGO_TRACE_SPAN_ARG("cache.save", "cache", "entries", size());
     // Snapshot under the shard locks first so the header counts are
     // exact even if writers race the save.
-    std::tuple<Records<ScalarKind>, Records<FrontierKind>,
-               Records<SegmentKind>>
-        recs;
+    std::tuple<Records<FrontierKind>, Records<SegmentKind>> recs;
     for (const auto &s : shards_) {
         std::lock_guard<std::mutex> lk(s->mu);
         forEachKind([&](auto kind) {
@@ -1436,9 +1283,9 @@ CostCache::save(const std::string &path) const
 
     // Serialize the whole mmap-able image in memory: header, one
     // (slot table, fixed-stride entry array) pair per kind, then the
-    // heap holding the heap kinds' payloads in kind order. The
-    // generation and CRCs are patched into the header last.
-    std::array<std::vector<std::uint64_t>, 3> slots;
+    // heap holding the payloads in kind order. The generation and
+    // CRCs are patched into the header last.
+    std::array<std::vector<std::uint64_t>, 2> slots;
     std::uint64_t heapWords = 0;
     std::uint64_t totalWords = kHeaderWords;
     forEachKind([&](auto kind) {
@@ -1458,7 +1305,7 @@ CostCache::save(const std::string &path) const
     Blob out;
     out.bytes.reserve(std::size_t(totalWords) * 8);
     for (std::size_t i = 0; i < kHeaderWords; ++i)
-        out.word(0); // Reserved words stay 0.
+        out.word(0);
     out.patchWord(kHdrMagic, kCacheFileMagic);
     out.patchWord(kHdrVersion, kCacheFileVersion);
     out.patchWord(kHdrSchema, schemaHash());
@@ -1476,21 +1323,16 @@ CostCache::save(const std::string &path) const
         for (const auto &kv : r) {
             for (std::uint64_t w : kv.first.words)
                 out.word(w);
-            if constexpr (K::kItemWords == 0) {
-                K::put(out, kv.second);
-            } else {
-                const std::uint64_t items = K::items(kv.second);
-                out.word(items);
-                out.word(heapAt);
-                heapAt += heapWordsOf<K>(items);
-            }
+            const std::uint64_t items = K::items(kv.second);
+            out.word(items);
+            out.word(heapAt);
+            heapAt += heapWordsOf<K>(items);
         }
     });
     forEachKind([&](auto kind) {
         using K = decltype(kind);
-        if constexpr (K::kItemWords != 0)
-            for (const auto &kv : std::get<K::kRank>(recs))
-                K::put(out, kv.second);
+        for (const auto &kv : std::get<K::kRank>(recs))
+            K::put(out, kv.second);
     });
     if (out.bytes.size() != std::size_t(totalWords) * 8)
         panic("cache save: serialized image size diverged from the "
@@ -1501,8 +1343,7 @@ CostCache::save(const std::string &path) const
                                 out.bytes.size() -
                                     kHeaderWords * 8));
     // Body CRC over everything after the header; header CRC over
-    // every header word but itself (reserved words included, so any
-    // header flip is caught).
+    // every header word but itself, so any header flip is caught.
     out.patchWord(kHdrBodyCrc,
                   crc32Of(out.bytes.data() + kHeaderWords * 8,
                           out.bytes.size() - kHeaderWords * 8));

@@ -1,28 +1,28 @@
 /**
  * @file
- * Memoization cache for layer cost evaluations, keyed on the exact
- * (hardware, layer shape, mapping) triple. Repeated layer shapes —
- * e.g. ResNet50's repeated bottleneck blocks or the per-head
- * attention GEMMs — are costed once and shared across DSE worker
- * threads through sharded hash maps (one mutex per shard, keys
- * distributed by hash so contention stays low).
+ * Memoization cache for mapping searches. It holds two record kinds,
+ * shared across DSE worker threads through sharded hash maps (one
+ * mutex per shard, keys distributed by hash so contention stays low):
  *
- * Besides scalar (key -> LayerResult) entries the cache memoizes
- * whole per-layer mapping frontiers, keyed on (hardware, layer
- * shape, K): a frontier hit skips the entire mapping sweep of that
- * layer. Frontier entries have their own thread-local L0 in front of
- * the sharded table and persist in the same cache file. Segment
- * entries (hardware + per-stage layer/slice identity -> resolved
- * stage mappings + pipelined cost) memoize the segmentation search
- * the same way and joined the file in format version 3.
+ *  - **frontier** entries memoize a whole per-layer mapping frontier,
+ *    keyed on (hardware, layer shape, K) at every K including 1: a
+ *    hit skips the entire mapping sweep of that layer. Repeated layer
+ *    shapes — e.g. ResNet50's repeated bottleneck blocks or the
+ *    per-head attention GEMMs — are swept once. A thread-local L0
+ *    sits in front of the sharded table.
+ *  - **segment** entries (hardware + per-stage layer/slice identity ->
+ *    resolved stage mappings + pipelined cost) memoize the
+ *    segmentation search the same way.
  *
- * Production-scale behaviors (format v5):
+ * Single tilings are not memoized: runLayerWithEff is a closed-form
+ * formula, cheaper to recompute than to look up.
+ *
+ * Production-scale behaviors (format v6):
  *  - **Bounded memory** — setCapacity() bounds the sharded (L1)
  *    tier by resident bytes and/or entry count; inserts past the
- *    bound trigger epoch-batched, cost-aware LRU eviction (scalar
- *    entries first, then frontiers, then segments — LRU order
- *    within each kind), with exact evictions/residentBytes
- *    counters.
+ *    bound trigger epoch-batched, cost-aware LRU eviction
+ *    (frontiers first, then segments — LRU order within each
+ *    kind), with exact evictions/residentBytes counters.
  *  - **Shared read-mostly tier** — the persistent file is an
  *    mmap-able, offset-based, CRC-covered snapshot holding
  *    open-addressed hash tables, so N processes attachShared() the
@@ -60,14 +60,14 @@ namespace dse
 {
 
 /**
- * Canonical serialization of everything runLayer/archCost read from
- * (HardwareConfig, Layer, Mapping). Exact-match equality: a hash
- * collision can never return a wrong result.
+ * Canonical serialization of everything a memoized search reads from
+ * its inputs (makeFrontierKey, makeSegmentKey). Exact-match equality:
+ * a hash collision can never return a wrong result.
  */
 struct CacheKey
 {
     std::array<std::uint64_t, 32> words{};
-    std::uint64_t hashValue = 0; //!< Filled once by makeCacheKey.
+    std::uint64_t hashValue = 0; //!< Filled once by the key maker.
 
     bool operator==(const CacheKey &o) const { return words == o.words; }
 
@@ -83,15 +83,10 @@ struct CacheKeyHash
     }
 };
 
-/** Build the canonical key for one evaluation. */
-CacheKey makeCacheKey(const HardwareConfig &hw, const Layer &l,
-                      const Mapping &map);
-
 /**
- * Build the canonical key of a (hw, layer, K) frontier memo entry.
- * Shares the hardware/layer sections with makeCacheKey; the mapping
- * section is replaced by a sentinel plus K, so frontier keys can
- * never collide with per-mapping keys.
+ * Build the canonical key of a (hw, layer, K) frontier memo entry:
+ * the hardware section (everything but the cosmetic name), the
+ * layer's LayerSignature (name and repeat count excluded), then K.
  */
 CacheKey makeFrontierKey(const HardwareConfig &hw, const Layer &l,
                          std::size_t k);
@@ -136,11 +131,10 @@ struct SegmentRecord
 
 /**
  * Build the canonical key of a segment memo entry: the hardware
- * section of makeCacheKey, a segment sentinel (disjoint from both
- * per-mapping and frontier key spaces), the stage count, and one
- * hashed tag word per stage (FNV-1a over the stage's SegmentKeyId).
- * Panics past the key's tag-word capacity (17 stages) — far above
- * any sensible SegmentOptions::maxStages.
+ * section of makeFrontierKey, the stage count, and one hashed tag
+ * word per stage (FNV-1a over the stage's SegmentKeyId). Panics past
+ * the key's tag-word capacity (18 stages) — far above any sensible
+ * SegmentOptions::maxStages.
  */
 CacheKey makeSegmentKey(const HardwareConfig &hw,
                         const std::vector<SegmentKeyId> &stages);
@@ -161,42 +155,40 @@ enum class CacheLoadStatus
 class SharedSnapshot;
 
 /**
- * Sharded, thread-safe memo table with thread-local L0s in front and
- * an optional mmap'd read-mostly snapshot behind, holding scalar
- * (key -> LayerResult), frontier (key -> point list), and segment
- * entries.
+ * Sharded, thread-safe memo table with a thread-local frontier L0 in
+ * front and an optional mmap'd read-mostly snapshot behind, holding
+ * frontier (key -> point list) and segment entries.
  *
  * Three levels:
- *  - **L0** — fixed-size, open-addressed (direct-mapped) tables in
- *    thread-local storage (one for scalar entries, one for
- *    frontiers). The common per-worker re-lookup takes zero locks:
- *    one hash index, one exact key compare. Entries are tagged with
- *    the owning cache's id and clear()-epoch, so a thread serving
- *    several caches (or a cache that was cleared) can never read a
- *    stale result. A stale L0 entry surviving an L1 eviction is
- *    benign: cached values are pure functions of their keys.
+ *  - **L0** — a fixed-size, direct-mapped frontier table in
+ *    thread-local storage. The common per-worker re-lookup takes zero
+ *    locks: one hash index, one exact key compare. Entries are tagged
+ *    with the owning cache's id and clear()-epoch, so a thread
+ *    serving several caches (or a cache that was cleared) can never
+ *    read a stale result. A stale L0 entry surviving an L1 eviction
+ *    is benign: cached values are pure functions of their keys.
+ *    Segment entries have no L0.
  *  - **L1** — the sharded mutex-protected tables (one mutex per
  *    shard, keys distributed by hash). This is the level save()
  *    serializes and setCapacity() bounds; L0 is never serialized.
- *  - **Shared** — an optional read-only mmap of a published v5
+ *  - **Shared** — an optional read-only mmap of a published v6
  *    snapshot (attachShared), probed copy-free after an L1 miss.
  *    Hits promote into L0 only — never into L1 — so the snapshot's
  *    pages stay shared across every process mapping it.
  *
  * Counter contract (exact under any worker count; all relaxed
- * atomics; field names of counters()): every lookupFast counts
- * exactly one of l0Hits/l0Misses; every L0 miss falls through to one
- * L1 lookup, which counts exactly one of hits/misses — so hits +
- * misses == l0Misses when all traffic goes through lookupFast. A
- * shared-tier hit counts in BOTH hits and sharedHits (attribution,
- * not a new denominator); misses therefore still means "missed every
- * tier". inserts counts entries actually created (losing racers of a
- * duplicate insert are not counted), so inserts == size() on a cache
- * that was never cleared or bounded; with a capacity set,
- * inserts - evictions == size(). Frontier counters are coarser:
- * frontHits counts successful frontier lookups at any level,
- * frontMisses counts lookups that had to fall through to a full
- * sweep, frontInserts counts frontier entries actually created.
+ * atomics; field names of counters()): every lookupFrontierFast
+ * counts exactly one of l0Hits/l0Misses; every L0 miss falls through
+ * to one L1 lookup, which counts exactly one of hits/misses — so
+ * hits + misses == l0Misses. frontHits == l0Hits + hits and
+ * frontMisses == misses count the same lookups at any level. A
+ * shared-tier hit counts in BOTH hits and sharedFrontHits
+ * (attribution, not a new denominator); misses therefore still means
+ * "missed every tier". Segment lookups count segHits/segMisses, and a
+ * shared segment hit also sharedSegHits. frontInserts and segInserts
+ * count entries actually created (losing racers of a duplicate
+ * insert are not counted), so frontInserts + segInserts -
+ * evictions == size() on a cache that was never cleared.
  */
 class CostCache
 {
@@ -212,55 +204,33 @@ class CostCache
     /**
      * Bound the sharded tier: `maxBytes` caps the total serialized
      * footprint (the exact bytes save() would write per entry, key
-     * included), `maxEntries` caps the entry count across all three
+     * included), `maxEntries` caps the entry count across both
      * kinds; 0 = unbounded (the default). An insert that exceeds a
      * bound triggers one epoch-batched eviction: entries are ranked
-     * (kind priority, last use) — scalars evicted first, then
-     * frontiers, then segments, LRU within each kind — and evicted
-     * until the tier is back under 7/8 of each bound, so inserts
-     * amortize to O(1) between batches. Rationale: a frontier entry
-     * reconstructs from hundreds of scalar evaluations and a
-     * segment record from whole per-stage searches, while scalar
-     * entries dominate the byte budget — evicting cheap-to-rebuild
-     * bulk first is what keeps the warm frontier-hit rate alive
-     * under memory pressure (bench_dse_perf's cache_eviction sweep
-     * gates this).
+     * (kind priority, last use) — frontiers evicted first, then
+     * segments, LRU within each kind — and evicted until the tier is
+     * back under 7/8 of each bound, so inserts amortize to O(1)
+     * between batches. Rationale: a frontier entry reconstructs from
+     * one per-layer sweep, a segment record from whole per-stage
+     * searches.
      */
     void setCapacity(std::uint64_t maxBytes,
                      std::uint64_t maxEntries);
 
     /** @} */
 
-    /** Returns true and fills *out on a hit (counts a hit/miss). */
-    bool lookup(const CacheKey &key, LayerResult *out);
-
-    /** Insert (first writer wins; duplicates are identical anyway). */
-    void insert(const CacheKey &key, const LayerResult &result);
-
-    /**
-     * Two-level lookup: thread-local L0 first (no locks), then the
-     * sharded table (promoting the entry into L0 on an L1 hit).
-     */
-    bool lookupFast(const CacheKey &key, LayerResult *out);
-
-    /** insert() that also fills the caller's L0 slot. */
-    void insertFast(const CacheKey &key, const LayerResult &result);
-
     /** @name Frontier entries (keys from makeFrontierKey) @{ */
 
-    /** Sharded lookup of a memoized frontier point list. */
-    bool lookupFrontier(const CacheKey &key,
-                        std::vector<FrontierPoint> *out);
-
-    /** Insert a frontier (first writer wins). */
-    void insertFrontier(const CacheKey &key,
-                        const std::vector<FrontierPoint> &points);
-
-    /** Two-level frontier lookup (thread-local L0, then sharded). */
+    /**
+     * Frontier lookup: thread-local L0 first (no locks), then the
+     * sharded table and the shared tier (promoting a hit into L0).
+     * L1 recency stamps are only refreshed on L0 misses.
+     */
     bool lookupFrontierFast(const CacheKey &key,
                             std::vector<FrontierPoint> *out);
 
-    /** insertFrontier() that also fills the caller's L0 slot. */
+    /** Insert a frontier (first writer wins; duplicates are identical
+     *  anyway) and fill the caller's L0 slot. */
     void insertFrontierFast(const CacheKey &key,
                             const std::vector<FrontierPoint> &points);
 
@@ -288,7 +258,7 @@ class CostCache
      * @name Shared read-mostly tier (mmap'd published snapshots)
      *
      * attachShared(path) remembers the snapshot path and maps it
-     * read-only if a valid v5 file is already there (a missing or
+     * read-only if a valid v6 file is already there (a missing or
      * invalid file just means "not yet published" — the next
      * refreshShared() picks it up). Probes hit the mapped image
      * in place: open-addressed in-file hash tables, no
@@ -329,7 +299,7 @@ class CostCache
         return stats_.read<CacheCounters>();
     }
 
-    /** Scalar (per-mapping) entry count. */
+    /** Resident L1 entry count, both kinds. */
     std::size_t size() const;
     /** Frontier entry count. */
     std::size_t frontierCount() const;
@@ -341,12 +311,12 @@ class CostCache
      * @name Persistence (warm-starting model-zoo sweeps, and the
      * published form of the shared tier)
      *
-     * Versioned binary serialization of every scalar, frontier, and
-     * segment entry. The file header carries a magic word, a format
+     * Versioned binary serialization of every frontier and segment
+     * entry. The file header carries a magic word, a format
      * version, and a schema hash over the serialized field layout,
      * so a file written by an older build — different version OR
      * different schema — is *rejected* (cold start), never misread.
-     * Format v5 is an mmap-able snapshot: a fixed header (with a
+     * Format v6 is an mmap-able snapshot: a fixed header (with a
      * monotonic generation stamp and header/body CRC32 words),
      * per-kind open-addressed slot tables, fixed-stride entry
      * arrays, and a variable-length heap — the same bytes serve
@@ -358,7 +328,7 @@ class CostCache
      * @{
      */
 
-    /** Hash of the serialized CacheKey/LayerResult/frontier layout. */
+    /** Hash of the serialized key/record/header layout. */
     static std::uint64_t schemaHash();
 
     /** On-disk format version save() writes and load() requires —
@@ -417,8 +387,6 @@ class CostCache
     struct Shard
     {
         std::mutex mu;
-        std::unordered_map<CacheKey, Entry<LayerResult>, CacheKeyHash>
-            map;
         std::unordered_map<CacheKey, Entry<std::vector<FrontierPoint>>,
                            CacheKeyHash>
             fronts;
@@ -430,12 +398,11 @@ class CostCache
     Shard &shardFor(const CacheKey &key);
 
     /** Record-kind traits (defined in cost_cache.cc): one each for
-     *  scalar, frontier and segment entries. Every path below is
-     *  written once, generic over the kind. */
-    struct ScalarKind;
+     *  frontier and segment entries. Every L1, file and eviction path
+     *  below is written once, generic over the kind. */
     struct FrontierKind;
     struct SegmentKind;
-    /** The v5 image validator/decoder walks the kinds too. */
+    /** The v6 image validator/decoder walks the kinds too. */
     friend class CacheImage;
 
     /** Call f(K{}) for each kind, in file order. */
@@ -447,12 +414,6 @@ class CostCache
                   typename K::Value *out);
     template <class K>
     void insertIn(const CacheKey &key, const typename K::Value &val);
-    /** L0 first (no locks), then lookupIn, promoting a hit into L0. */
-    template <class K>
-    bool lookupFastIn(const CacheKey &key, typename K::Value *out);
-    template <class K>
-    void insertFastIn(const CacheKey &key,
-                      const typename K::Value &val);
     template <class K>
     std::size_t countIn() const;
 

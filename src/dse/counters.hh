@@ -29,19 +29,17 @@
 
 #define LEGO_DSE_COUNTERS(X, set)                                           \
     X(set, Cache, hits, Window, "dse.cache.l1_hits",                        \
-      "scalar lookups answered past L0, by L1 or the shared tier")          \
+      "frontier lookups answered past L0, by L1 or the shared tier")        \
     X(set, Cache, misses, Window, "dse.cache.l1_misses",                    \
-      "scalar lookups that missed every tier")                              \
+      "frontier lookups that missed every tier")                            \
     X(set, Cache, l0Hits, Window, "dse.cache.l0_hits",                      \
-      "scalar lookups answered by the thread-local L0")                     \
+      "frontier lookups answered by the thread-local L0")                   \
     X(set, Cache, l0Misses, Window, "dse.cache.l0_misses",                  \
-      "scalar L0 misses, each falling through to one L1 lookup")            \
-    X(set, Cache, inserts, Global, "dse.cache.inserts",                     \
-      "scalar entries created")                                             \
+      "frontier L0 misses, each falling through to one L1 lookup")          \
     X(set, Cache, frontHits, Window, "dse.cache.front_hits",                \
-      "frontier lookups answered at any level")                             \
+      "frontier lookups answered at any level, l0Hits + hits")              \
     X(set, Cache, frontMisses, Window, "dse.cache.front_misses",            \
-      "frontier lookups that fell through to a full sweep")                 \
+      "frontier lookups that fell through to a full sweep, = misses")       \
     X(set, Cache, frontInserts, Global, "dse.cache.front_inserts",          \
       "frontier entries created")                                           \
     X(set, Cache, segHits, Window, "dse.cache.seg_hits",                    \
@@ -54,8 +52,6 @@
       "corrupt cache files set aside")                                      \
     X(set, Cache, evictions, Window, "dse.cache.evictions",                 \
       "L1 entries evicted by the capacity bound, all kinds")                \
-    X(set, Cache, sharedHits, Window, "dse.cache.shared_hits",              \
-      "scalar hits served by the mmap'd shared tier, also in hits")         \
     X(set, Cache, sharedFrontHits, Window, "dse.cache.shared_front_hits",   \
       "frontier hits served by the shared tier, also in frontHits")         \
     X(set, Cache, sharedSegHits, Window, "dse.cache.shared_seg_hits",       \
@@ -67,9 +63,9 @@
     X(set, Cache, generation, Gauge, "dse.cache.generation",                \
       "generation of the mapped shared snapshot, 0 = none")                 \
     X(set, Eval, searches, Global, "dse.eval.searches",                     \
-      "frontier sweeps actually run, frontier-memo hits excluded")          \
+      "frontier sweeps run; memo hits and non-tensor layers excluded")      \
     X(set, Eval, modelEvals, Window, "dse.eval.model_evals",                \
-      "runLayerWithEff calls: cache misses plus uncached runs")             \
+      "runLayerWithEff calls, one per tiling a sweep scores")               \
     X(set, Eval, mappingsPruned, Window, "dse.eval.mappings_pruned",        \
       "tilings cut by the cycle bound")                                     \
     X(set, Eval, dataflowsPruned, Window, "dse.eval.dataflows_pruned",      \

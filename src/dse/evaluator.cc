@@ -107,18 +107,8 @@ LayerResult
 Evaluator::scoredRunLayer(const HardwareConfig &hw, const Layer &l,
                           const Mapping &map, double spatialEff) const
 {
-    if (!cache_) {
-        bumpStat(stats_, CounterId::modelEvals);
-        return runLayerWithEff(hw, l, map, spatialEff);
-    }
-    CacheKey key = makeCacheKey(hw, l, map);
-    LayerResult res;
-    if (cache_->lookupFast(key, &res))
-        return res;
     bumpStat(stats_, CounterId::modelEvals);
-    res = runLayerWithEff(hw, l, map, spatialEff);
-    cache_->insertFast(key, res);
-    return res;
+    return runLayerWithEff(hw, l, map, spatialEff);
 }
 
 MappingFrontier
@@ -269,7 +259,7 @@ Evaluator::searchMappingFrontier(const HardwareConfig &hw,
     LEGO_TRACE_SPAN_ARG("dse.search", "dse", "k", k);
     const std::size_t cap = k == 0 ? 1 : k;
     if (!l.isTensorOp()) {
-        bumpStat(stats_, CounterId::searches);
+        // No tilings to sweep: one closed-form PPU costing.
         MappingFrontier front(cap);
         FrontierPoint p;
         p.result = runPpuLayer(hw, l);
@@ -277,11 +267,9 @@ Evaluator::searchMappingFrontier(const HardwareConfig &hw,
         return front;
     }
 
-    // Frontier memo, K > 1 only: K = 1 sweeps are fully covered by
-    // the per-mapping memo, and the scalar hot path must keep its
-    // exact cache-counter behavior. Memo hits skip the sweep and do
-    // not count as searches.
-    const bool memo = cache_ && policy_.memoFrontiers && cap > 1;
+    // Frontier memo, at every K: a hit skips the sweep and does not
+    // count as a search.
+    const bool memo = cache_ && policy_.memoFrontiers;
     CacheKey fkey;
     if (memo) {
         fkey = makeFrontierKey(hw, l, cap);

@@ -24,12 +24,12 @@
  *    cut, firing right after the minimum-bound candidate's ties;
  *  - spatialEfficiency is computed once per (hw, layer, dataflow)
  *    and shared by every tiling candidate of that dataflow;
- *  - each (hw, layer, mapping) evaluation is memoized in an optional
- *    CostCache — a three-level lookup: thread-local L0, the bounded
- *    sharded L1 (LRU-evicted past its setCapacity budget), then the
- *    optional mmap'd shared snapshot tier probed copy-free — and
- *    whole frontiers are memoized per (hw, layer, K) for K > 1 —
- *    K = 1 sweeps keep the exact scalar cache behavior.
+ *  - whole frontiers are memoized per (hw, layer, K), at every K, in
+ *    an optional CostCache — a three-level lookup: thread-local L0,
+ *    the bounded sharded L1 (LRU-evicted past its setCapacity
+ *    budget), then the optional mmap'd shared snapshot tier probed
+ *    copy-free. Single tilings are never memoized: runLayerWithEff
+ *    is closed-form and cheaper to recompute than to look up.
  *
  * All optimizations preserve the exact result of the naive sweep:
  * the bound equals the true cycle count, ties keep their canonical
@@ -102,16 +102,15 @@ struct EvalPolicy
 {
     bool dedupLayerClasses = true; //!< Search one layer per class.
     bool pruneMappings = true;     //!< Branch-and-bound the sweep.
-    /** Memoize whole frontiers per (hw, layer, K) for K > 1. K = 1
-     *  sweeps never consult the frontier memo, so the scalar hot
-     *  path keeps its exact per-mapping cache behavior. */
+    /** Memoize whole frontiers per (hw, layer, K), at every K. Off,
+     *  every search sweeps even with a cache attached. */
     bool memoFrontiers = true;
 };
 
 class Evaluator
 {
   public:
-    /** cache may be null: every evaluation is then computed fresh. */
+    /** cache may be null: every search then sweeps. */
     explicit Evaluator(CostCache *cache = nullptr,
                        EvalPolicy policy = EvalPolicy())
         : cache_(cache), policy_(policy)

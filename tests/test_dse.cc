@@ -76,12 +76,13 @@ TEST(CostCache, CachedEqualsFresh)
     Evaluator fresh(nullptr);
 
     MappedLayer a = cached.searchMapping(hw, l); // Fills the cache.
-    MappedLayer b = cached.searchMapping(hw, l); // All cache hits.
+    MappedLayer b = cached.searchMapping(hw, l); // A frontier hit.
     MappedLayer c = fresh.searchMapping(hw, l);
-    // The repeat search runs on the same thread, so its hits land in
+    // The repeat search runs on the same thread, so its hit lands in
     // the thread-local L0 (the sharded level is only consulted on L0
-    // misses).
+    // misses) and it sweeps nothing.
     EXPECT_GT(cache.counters().l0Hits, 0u);
+    EXPECT_EQ(cached.counters().searches, 1u);
 
     // Bit-identical across cached and fresh paths.
     for (const MappedLayer *m : {&b, &c}) {
@@ -95,19 +96,20 @@ TEST(CostCache, CachedEqualsFresh)
         EXPECT_EQ(a.mapping.tk, m->mapping.tk);
     }
 
-    // And a single cached lookup equals a direct model call. The
-    // winning mapping is always evaluated (never pruned), so its
-    // entry must be in the sharded table.
+    // And the memoized K = 1 frontier holds the winning mapping with
+    // exactly the result of a direct model call.
     LayerResult direct = runLayer(hw, l, a.mapping);
     CostCache c2;
     Evaluator e2(&c2);
     ScheduleResult unused = e2.mapModel(hw, Model{"m", {l}});
     (void)unused;
-    LayerResult viaKey;
+    std::vector<dse::FrontierPoint> viaKey;
     ASSERT_TRUE(
-        c2.lookup(dse::makeCacheKey(hw, l, a.mapping), &viaKey));
-    EXPECT_EQ(direct.cycles, viaKey.cycles);
-    EXPECT_EQ(direct.energyPj, viaKey.energyPj);
+        c2.lookupFrontierFast(dse::makeFrontierKey(hw, l, 1), &viaKey));
+    ASSERT_EQ(viaKey.size(), 1u);
+    EXPECT_EQ(a.mapping.tm, viaKey[0].mapping.tm);
+    EXPECT_EQ(direct.cycles, viaKey[0].result.cycles);
+    EXPECT_EQ(direct.energyPj, viaKey[0].result.energyPj);
 }
 
 TEST(CostCache, KeyIgnoresNameAndRepeat)
@@ -116,18 +118,19 @@ TEST(CostCache, KeyIgnoresNameAndRepeat)
     Layer a = conv("stage1", 64, 64, 56, 3);
     Layer b = conv("stage9", 64, 64, 56, 3);
     b.repeat = 7;
-    Mapping map{DataflowTag::MN, 64, 64, 64};
-    EXPECT_EQ(dse::makeCacheKey(hw, a, map),
-              dse::makeCacheKey(hw, b, map));
+    EXPECT_EQ(dse::makeFrontierKey(hw, a, 1),
+              dse::makeFrontierKey(hw, b, 1));
 
-    // But any shape or hardware change must miss.
+    // But any shape, hardware or K change must miss.
     Layer c = conv("stage1", 64, 64, 57, 3);
-    EXPECT_FALSE(dse::makeCacheKey(hw, a, map) ==
-                 dse::makeCacheKey(hw, c, map));
+    EXPECT_FALSE(dse::makeFrontierKey(hw, a, 1) ==
+                 dse::makeFrontierKey(hw, c, 1));
     HardwareConfig hw2 = hw;
     hw2.l1Kb += 1;
-    EXPECT_FALSE(dse::makeCacheKey(hw, a, map) ==
-                 dse::makeCacheKey(hw2, a, map));
+    EXPECT_FALSE(dse::makeFrontierKey(hw, a, 1) ==
+                 dse::makeFrontierKey(hw2, a, 1));
+    EXPECT_FALSE(dse::makeFrontierKey(hw, a, 1) ==
+                 dse::makeFrontierKey(hw, a, 2));
 }
 
 TEST(CostCache, SharedShapesHitAcrossLayers)
@@ -328,7 +331,6 @@ TEST(CandidateSpace, NeighborReflectsAtEdges)
 TEST(CostCache, DataflowPackingCannotCollide)
 {
     Layer l = conv("c", 8, 8, 8, 3);
-    Mapping map{DataflowTag::MN, 16, 16, 16};
     // 16 tags pack losslessly: sets differing only in the *first*
     // (oldest-packed) tag must key differently — this is the entry
     // the old unchecked shift pushed out of the 64-bit word.
@@ -336,13 +338,13 @@ TEST(CostCache, DataflowPackingCannotCollide)
     a.dataflows.assign(16, DataflowTag::MN);
     b.dataflows = a.dataflows;
     b.dataflows[0] = DataflowTag::ICOC;
-    EXPECT_FALSE(dse::makeCacheKey(a, l, map) ==
-                 dse::makeCacheKey(b, l, map));
+    EXPECT_FALSE(dse::makeFrontierKey(a, l, 1) ==
+                 dse::makeFrontierKey(b, l, 1));
     // A 17th tag cannot be packed; keying such a config would shift
     // the first tag out and alias distinct configs, so it panics.
     HardwareConfig c = a;
     c.dataflows.push_back(DataflowTag::OHOW);
-    EXPECT_THROW(dse::makeCacheKey(c, l, map), PanicError);
+    EXPECT_THROW(dse::makeFrontierKey(c, l, 1), PanicError);
 }
 
 TEST(Evaluator, FitsL1ScalesWithDataBits)
@@ -460,8 +462,8 @@ TEST(Evaluator, FallbackMappingClampsToProblem)
 }
 
 /**
- * Cache statistics are exact: with the naive policy every candidate
- * of every (distinct-shape) layer issues exactly one lookup, so the
+ * Cache statistics are exact: with the naive policy every
+ * (distinct-shape) layer issues exactly one frontier lookup, so the
  * L0/L1 counters are fully predictable — under 1 worker and under 8.
  */
 TEST(CostCache, CountersExactUnderWorkerCounts)
@@ -478,11 +480,7 @@ TEST(CostCache, CountersExactUnderWorkerCounts)
         opt.eval.pruneMappings = false;
         dse::DseEngine engine(opt);
 
-        std::uint64_t expectLookups = 0;
-        for (const Layer &l : m.layers)
-            expectLookups +=
-                dse::mappingCandidates(HardwareConfig{}, l).size();
-        ASSERT_GT(expectLookups, 0u);
+        const std::uint64_t expectLookups = m.layers.size();
 
         // Cold: every lookup misses both levels and inserts once.
         engine.mapModel(HardwareConfig{}, m);
@@ -492,7 +490,7 @@ TEST(CostCache, CountersExactUnderWorkerCounts)
         EXPECT_EQ(c.l0Misses, expectLookups) << threads;
         EXPECT_EQ(c.hits, 0u) << threads;
         EXPECT_EQ(c.misses, expectLookups) << threads;
-        EXPECT_EQ(c.inserts, expectLookups) << threads;
+        EXPECT_EQ(c.frontInserts, expectLookups) << threads;
         EXPECT_EQ(cache.size(), expectLookups) << threads;
 
         // Warm: the same lookups all hit — split between L0 (same
@@ -503,7 +501,7 @@ TEST(CostCache, CountersExactUnderWorkerCounts)
         EXPECT_EQ(c.l0Hits + c.hits, expectLookups) << threads;
         EXPECT_EQ(c.l0Misses + c.l0Hits, 2 * expectLookups) << threads;
         EXPECT_EQ(c.misses, expectLookups) << threads;
-        EXPECT_EQ(c.inserts, expectLookups) << threads;
+        EXPECT_EQ(c.frontInserts, expectLookups) << threads;
         EXPECT_EQ(cache.size(), expectLookups) << threads;
         if (threads == 1) {
             // One worker: warm lookups are L0 hits except keys whose
@@ -512,8 +510,11 @@ TEST(CostCache, CountersExactUnderWorkerCounts)
             // exactly once, by the sum checks above).
             EXPECT_GT(c.l0Hits, 0u);
         }
-        // Every L1 access came from an L0 miss.
+        // Every L1 access came from an L0 miss, and the any-level
+        // frontier counters count the same lookups.
         EXPECT_EQ(c.hits + c.misses, c.l0Misses) << threads;
+        EXPECT_EQ(c.frontHits, c.l0Hits + c.hits) << threads;
+        EXPECT_EQ(c.frontMisses, c.misses) << threads;
     }
 }
 

@@ -261,10 +261,14 @@ TEST(FrontierMemo, MemoizedEqualsFresh)
     EXPECT_EQ(d.size(), std::min<std::size_t>(2, a.size()));
     EXPECT_EQ(cache.frontierCount(), 2u);
 
-    // K = 1 never touches the frontier memo (scalar hot path).
+    // K = 1 is memoized like any other K: one miss, then a hit.
     std::uint64_t fm = cache.counters().frontMisses;
-    cached.searchMappingFrontier(hw, l, 1);
-    EXPECT_EQ(cache.counters().frontMisses, fm);
+    std::uint64_t fh = cache.counters().frontHits;
+    MappingFrontier e = cached.searchMappingFrontier(hw, l, 1);
+    EXPECT_EQ(cache.counters().frontMisses, fm + 1);
+    EXPECT_EQ(cache.frontierCount(), 3u);
+    expectSameFrontier(e, cached.searchMappingFrontier(hw, l, 1));
+    EXPECT_EQ(cache.counters().frontHits, fh + 1);
 }
 
 /** Frontier entries survive a save/load round trip bit-for-bit. */

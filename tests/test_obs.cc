@@ -13,6 +13,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <regex>
 #include <set>
 #include <sstream>
 #include <thread>
@@ -257,6 +258,25 @@ TEST(ObsMetrics, EnginePublishMetricsMirrorsCounters)
         }
     }
     EXPECT_GT(s.counters.at("dse.eval.model_evals"), 0u);
+
+    // The other direction: every cache/evaluator metric the README
+    // names is a table row or one of the size gauges publishMetrics
+    // sets, so a deleted row cannot linger in the docs.
+    const std::set<std::string> sizeGauges = {
+        "dse.cache.entries", "dse.cache.frontier_entries",
+        "dse.cache.segment_entries"};
+    for (const std::string &g : sizeGauges)
+        EXPECT_TRUE(s.gauges.count(g)) << g;
+    const std::regex named("`(dse\\.(cache|eval)\\.[a-z0-9_]+)`");
+    std::size_t documented = 0;
+    for (std::sregex_iterator it(readme.begin(), readme.end(), named),
+         end;
+         it != end; ++it, ++documented) {
+        const std::string name = (*it)[1];
+        EXPECT_TRUE(tableMetrics.count(name) || sizeGauges.count(name))
+            << name << " in src/obs/README.md is not a published metric";
+    }
+    EXPECT_GE(documented, tableMetrics.size() + sizeGauges.size());
 }
 
 // ---- tracer ----------------------------------------------------------

@@ -58,7 +58,7 @@ fileExists(const std::string &path)
     return static_cast<bool>(std::ifstream(path));
 }
 
-/** A cache with entries in all three persisted sections. */
+/** A cache with entries in both persisted sections. */
 void
 fillCache(CostCache *cache)
 {
@@ -66,8 +66,8 @@ fillCache(CostCache *cache)
     hw.dram.bandwidthGBs = 4.0; // Starved DRAM: segments dominate.
     Model m = makeLeNet();
     dse::Evaluator ev(cache);
-    ev.mapModel(hw, m);            // Scalar entries.
-    ev.mapModelFrontier(hw, m, 4); // Frontier entries.
+    ev.mapModel(hw, m);            // K = 1 frontier entries.
+    ev.mapModelFrontier(hw, m, 4); // K = 4 frontier entries.
     SegmentOptions sopt;
     sopt.enable = true;
     dse::searchSegments(hw, m, ev, sopt); // Segment records.

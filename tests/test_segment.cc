@@ -336,7 +336,7 @@ TEST(SegmentCache, V4RoundTripAndV2Rejected)
     ASSERT_GT(cold.segmentCount(), 0u);
     ASSERT_GT(cold.counters().segInserts, 0u);
     ASSERT_TRUE(cold.save(path));
-    EXPECT_EQ(CostCache::fileFormatVersion(), 5u);
+    EXPECT_EQ(CostCache::fileFormatVersion(), 6u);
 
     CostCache warm;
     ASSERT_TRUE(warm.load(path));

@@ -653,7 +653,7 @@ TEST(ServeLoop, UnwritableCachePathFailsFlushNotServing)
     EXPECT_FALSE(loop.shutdown());       // Sticky status.
 }
 
-/** A cache holding both scalar and frontier entries, for the
+/** A cache holding K = 1 and K = 4 frontier entries, for the
  *  persistence failure-path tests. */
 void
 fillCache(CostCache *cache)
@@ -661,8 +661,8 @@ fillCache(CostCache *cache)
     HardwareConfig hw;
     Model m = makeLeNet();
     dse::Evaluator ev(cache);
-    ev.mapModel(hw, m);                // Scalar entries.
-    ev.mapModelFrontier(hw, m, 4);     // Frontier entries.
+    ev.mapModel(hw, m);                // K = 1 frontier entries.
+    ev.mapModelFrontier(hw, m, 4);     // K = 4 frontier entries.
     ASSERT_GT(cache->size(), 0u);
     ASSERT_GT(cache->frontierCount(), 0u);
 }
@@ -699,8 +699,8 @@ TEST(CostCachePersistence, TruncatedAndPaddedFilesAreRejected)
     ASSERT_GT(bytes.size(), 64u);
 
     // Truncations at every interesting boundary: inside the header,
-    // inside the scalar section, at the frontier-count word, inside
-    // a frontier entry, and one word short of complete. All must be
+    // in the frontier slot-count word, inside the frontier section and a
+    // frontier entry, and one word short of complete. All must be
     // rejected wholesale, leaving the cache untouched.
     const std::size_t cuts[] = {
         8, 24, 32 + 7, bytes.size() / 2, bytes.size() - 9,

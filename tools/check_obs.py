@@ -30,13 +30,15 @@ proof that the fault-injection replay actually fired its seams.
 segment_pipeline_rn50 sweep (>= 1 pipelined segment, latency/energy
 ratios < 1, disabled-path identity). --require-shared-cache asserts
 the stats snapshot came from a pure shared-cache reader: zero model
-evaluations, zero frontier misses, >= 1 frontier hit served from the
+evaluations and frontier sweeps, zero frontier misses, >= 1 frontier
+hit served from the
 mmap'd snapshot tier, and a mapped generation >= 1 — the
 multi-process smoke proof that every answer came copy-free out of
 the published file. --bench also validates the cache_eviction
-section (schema 5): nonzero evictions, resident bytes within the
-cap, and a bounded warm frontier-hit rate within 10 points of the
-unbounded ideal.
+section (schema 6): at half the working set, nonzero evictions,
+resident bytes within the cap and frontiers identical to the
+unbounded ones; at hit_rate_cap_bytes, a bounded warm frontier-hit
+rate within 10 points of the unbounded ideal.
 
 Every given artifact is validated; any violation exits 1 with a
 message. Stdlib only — runs on a bare CI python3.
@@ -169,6 +171,10 @@ def check_stats(path, expect_failpoints=None,
         if evals != 0:
             fail(f"{path}: shared-cache reader ran {evals} model "
                  "evals (want 0)")
+        sweeps = counters.get("dse.eval.searches")
+        if sweeps != 0:
+            fail(f"{path}: shared-cache reader ran {sweeps} frontier "
+                 "sweeps (want 0)")
         misses = counters.get("dse.cache.front_misses")
         if misses != 0:
             fail(f"{path}: shared-cache reader had {misses} "
@@ -270,17 +276,18 @@ def check_bench(path, max_overhead_pct, require_segment_dominance):
         print(f"ok: {path}: serve_load: {load['requests']} requests,"
               f" warm speedup {load['warm_speedup']}x, w4 warm "
               f"p99 {configs['w4_warm']['p99_ms']} ms")
-    # Schema 5: the bounded-cache eviction sweep. The bound must be
-    # real (evictions fired, footprint within cap) and must not cost
-    # warm frontier hits (within 10 points of the unbounded ideal).
+    # Schema 6: the bounded-cache eviction sweep. At cap_bytes the
+    # bound must be real (evictions fired, footprint within cap) and
+    # change no answer; at hit_rate_cap_bytes it must not cost warm
+    # frontier hits (within 10 points of the unbounded ideal).
     evict = doc.get("cache_eviction")
     if not isinstance(evict, dict):
         return fail(f"{path}: missing cache_eviction section "
-                    "(schema 5)")
-    for key in ("working_set_bytes", "cap_bytes",
-                "unbounded_warm_front_hit_rate",
-                "bounded_warm_front_hit_rate", "evictions",
-                "resident_bytes", "ok"):
+                    "(schema 6)")
+    for key in ("working_set_bytes", "cap_bytes", "evictions",
+                "resident_bytes", "identical_frontiers",
+                "hit_rate_cap_bytes", "unbounded_warm_front_hit_rate",
+                "bounded_warm_front_hit_rate", "ok"):
         if key not in evict:
             return fail(f"{path}: cache_eviction missing {key!r}")
     if evict["evictions"] < 1:
@@ -289,6 +296,9 @@ def check_bench(path, max_overhead_pct, require_segment_dominance):
         fail(f"{path}: cache_eviction resident "
              f"{evict['resident_bytes']} B over cap "
              f"{evict['cap_bytes']} B")
+    if not evict["identical_frontiers"]:
+        fail(f"{path}: cache_eviction bounded frontiers diverged "
+             "from the unbounded ones")
     if (evict["bounded_warm_front_hit_rate"]
             < evict["unbounded_warm_front_hit_rate"] - 0.10):
         fail(f"{path}: bounded warm frontier-hit rate "
@@ -302,7 +312,8 @@ def check_bench(path, max_overhead_pct, require_segment_dominance):
               f"{evict['evictions']} evictions, "
               f"{evict['resident_bytes']}/{evict['cap_bytes']} B "
               f"resident, warm frontier rate "
-              f"{evict['bounded_warm_front_hit_rate']} vs "
+              f"{evict['bounded_warm_front_hit_rate']} at "
+              f"{evict['hit_rate_cap_bytes']} B vs "
               f"{evict['unbounded_warm_front_hit_rate']} unbounded")
     if require_segment_dominance:
         seg = sweeps.get("segment_pipeline_rn50")
