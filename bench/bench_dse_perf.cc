@@ -229,10 +229,11 @@ sweepMappingSearch(const Model &rn50)
 }
 
 /**
- * Warm re-run of the mapping search on one engine: every surviving
- * lookup is served by the thread-local L0 (zero locks, zero model
- * evaluations), and the schedule must be bit-identical to the cold
- * run's.
+ * Warm re-run of the mapping search on one engine: every layer's
+ * frontier lookup hits (zero sweeps, zero model evaluations), almost
+ * all in the thread-local L0 (zero locks; direct-mapped slot
+ * collisions fall through to L1), and the schedule must be
+ * bit-identical to the cold run's.
  */
 SweepNumbers
 sweepMappingSearchWarm(const Model &rn50)
@@ -247,7 +248,7 @@ sweepMappingSearchWarm(const Model &rn50)
     ScheduleResult cold = engine.mapModel(eyeriss, rn50);
 
     // No separate naive engine here: the interesting numbers are 0
-    // model evaluations and an all-L0 hit path.
+    // model evaluations and an (almost) all-L0 hit path.
     ScheduleResult warm =
         measure(&s, engine, [&] { return engine.mapModel(eyeriss, rn50); });
     s.naiveModelEvals = s.eval.modelEvals;

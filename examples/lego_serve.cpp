@@ -54,8 +54,8 @@
  *                        replay the trace once. Exit 0 requires
  *                        every request ok, zero model evaluations
  *                        and frontier sweeps, >= 90% frontier hit
- *                        rate, and >= 1 frontier
- *                        hit actually served from the mapped tier —
+ *                        rate, and >= 1 frontier hit actually
+ *                        served from the mapped tier —
  *                        i.e. all warmth demonstrably came from the
  *                        published snapshot. A writer publishes that
  *                        snapshot with the normal two-pass mode plus

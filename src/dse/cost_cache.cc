@@ -136,6 +136,9 @@ constexpr std::uint64_t kResultWords = 6;
  *  desync the load-time entry-size prechecks from save()'s layout. */
 constexpr std::uint64_t kKeyWords =
     std::tuple_size<decltype(CacheKey::words)>::value;
+/** One fixed-stride entry of either kind: the key, then the record's
+ *  item count and heap offset. */
+constexpr std::uint64_t kEntryWords = kKeyWords + 2;
 constexpr std::uint64_t kMappingWords = 4;
 /** dataflow, tm, tn, tk, LayerResult, seq. */
 constexpr std::uint64_t kFrontierPointWords =
@@ -189,7 +192,7 @@ template <class K>
 std::uint64_t
 entryBytes(const typename K::Value &val)
 {
-    return (K::kEntryWords + heapWordsOf<K>(K::items(val))) * 8;
+    return (kEntryWords + heapWordsOf<K>(K::items(val))) * 8;
 }
 
 /** One kind's (key, value) pairs, as save() snapshots them. */
@@ -406,9 +409,8 @@ makeSegmentKey(const HardwareConfig &hw,
  *    (lower ranks are evicted first);
  *  - kHdrSlots/kHdrCount: its header slot-table size and entry-count
  *    words;
- *  - its v6 layout: kEntryWords per fixed-stride entry (the key, then
- *    the item count and heap offset), and a heap record of kItemWords
- *    per item plus kTailWords, with at least kMinItems items;
+ *  - its v6 heap record: kItemWords per item plus kTailWords, with
+ *    at least kMinItems items;
  *  - put/decode: the value's heap words;
  *  - kTable: its table in each Shard;
  *  - the counters (counters.hh rows) its L1 and shared-tier traffic
@@ -422,7 +424,6 @@ struct CostCache::FrontierKind
     static constexpr std::uint8_t kRank = 0;
     static constexpr std::size_t kHdrSlots = kHdrFrontSlots;
     static constexpr std::size_t kHdrCount = kHdrFrontCount;
-    static constexpr std::uint64_t kEntryWords = kKeyWords + 2;
     static constexpr std::uint64_t kItemWords = kFrontierPointWords;
     static constexpr std::uint64_t kTailWords = 0;
     /** save() never writes an empty frontier; a file holding one is
@@ -468,7 +469,6 @@ struct CostCache::SegmentKind
     static constexpr std::uint8_t kRank = 1;
     static constexpr std::size_t kHdrSlots = kHdrSegSlots;
     static constexpr std::size_t kHdrCount = kHdrSegCount;
-    static constexpr std::uint64_t kEntryWords = kKeyWords + 2;
     static constexpr std::uint64_t kItemWords = kSegmentStageWords;
     static constexpr std::uint64_t kTailWords = kSegmentCostWords;
     /** A segment record always has >= 2 stages. */
@@ -582,7 +582,7 @@ class CacheImage
     template <class K>
     const std::uint64_t *entry(std::uint64_t e) const
     {
-        return w_ + entriesAt_[K::kRank] + e * K::kEntryWords;
+        return w_ + entriesAt_[K::kRank] + e * kEntryWords;
     }
 
     /**
@@ -647,13 +647,13 @@ CacheImage::open(const std::uint64_t *w, std::size_t bytes)
         using K = decltype(kind);
         const std::uint64_t slots = w[K::kHdrSlots];
         const std::uint64_t n = w[K::kHdrCount];
-        ok = ok && n <= maxWords / K::kEntryWords &&
+        ok = ok && n <= maxWords / kEntryWords &&
              slots == slotCountFor(n);
         if (!ok)
             return;
         slotsAt_[K::kRank] = at;
         entriesAt_[K::kRank] = at + slots;
-        at += slots + n * K::kEntryWords;
+        at += slots + n * kEntryWords;
     });
     if (!ok || at + heapWords != maxWords ||
         w[kHdrBodyCrc] != crc32Of(b + kHeaderWords * 8,
@@ -1298,7 +1298,7 @@ CostCache::save(const std::string &path) const
             heapWords += heapWordsOf<K>(K::items(kv.second));
         }
         slots[K::kRank] = buildSlotTable(hashes);
-        totalWords += slots[K::kRank].size() + r.size() * K::kEntryWords;
+        totalWords += slots[K::kRank].size() + r.size() * kEntryWords;
     });
     totalWords += heapWords;
 

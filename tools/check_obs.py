@@ -31,10 +31,9 @@ segment_pipeline_rn50 sweep (>= 1 pipelined segment, latency/energy
 ratios < 1, disabled-path identity). --require-shared-cache asserts
 the stats snapshot came from a pure shared-cache reader: zero model
 evaluations and frontier sweeps, zero frontier misses, >= 1 frontier
-hit served from the
-mmap'd snapshot tier, and a mapped generation >= 1 — the
-multi-process smoke proof that every answer came copy-free out of
-the published file. --bench also validates the cache_eviction
+hit served from the mmap'd snapshot tier, and a mapped generation
+>= 1 — the multi-process smoke proof that every answer came
+copy-free out of the published file. --bench also validates the cache_eviction
 section (schema 6): at half the working set, nonzero evictions,
 resident bytes within the cap and frontiers identical to the
 unbounded ones; at hit_rate_cap_bytes, a bounded warm frontier-hit
