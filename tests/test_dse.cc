@@ -3,14 +3,17 @@
  * Tests for the design-space exploration subsystem: worker-pool
  * ordering, memo-cache equivalence (cached == fresh, bit-identical),
  * Pareto-archive dominance invariants, candidate-space decoding, the
- * mapper-as-thin-client equivalence, and thread-count determinism of
- * the engine (1 vs 8 workers, same seed, same frontier).
+ * mapper-as-thin-client equivalence, thread-count determinism of
+ * the engine (1 vs 8 workers, same seed, same frontier), and the
+ * exact work of the fixed DSE sweeps (naive vs optimized identity,
+ * pinned model-evaluation and frontier-sweep counts).
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <fstream>
+#include <functional>
 
 #include "lego.hh"
 
@@ -629,10 +632,14 @@ TEST(Engine, ExploreStatsMatchGlobalCounterDeltas)
                     << pass;
             }
             EXPECT_GT(r.stats.l0Misses, 0u) << pass;
-            if (pass == 0)
+            // Warm hits only when unbounded: at 64 entries each pass
+            // scans far more frontiers than fit, and LRU over a
+            // cyclic scan larger than its capacity may hit nothing.
+            if (pass == 0) {
                 EXPECT_GT(r.stats.modelEvals, 0u);
-            else
+            } else if (maxEntries == 0) {
                 EXPECT_GT(r.stats.l0Hits + r.stats.hits, 0u);
+            }
             if (maxEntries != 0) {
                 EXPECT_GT(r.stats.evictions, 0u) << pass;
             }
@@ -810,6 +817,202 @@ TEST(Engine, MaxEvalsCapsWork)
     DseResult r =
         engine.explore(dse::eyerissEquivalentSpace(), makeLeNet());
     EXPECT_EQ(r.stats.evaluated, 5u);
+}
+
+/** The optimized run's work in one pinned sweep. */
+struct SweepWork
+{
+    std::uint64_t modelEvals = 0;
+    std::uint64_t searches = 0;
+};
+
+/** One worker; `naive` turns off class dedup, bound pruning and the
+ *  frontier memo, so every layer scores every tiling itself. */
+DseOptions
+oneWorker(bool naive, std::size_t frontierK = 1)
+{
+    DseOptions o;
+    o.threads = 1;
+    o.compose.frontierK = frontierK;
+    if (naive) {
+        o.eval.dedupLayerClasses = false;
+        o.eval.pruneMappings = false;
+        o.eval.memoFrontiers = false;
+    }
+    return o;
+}
+
+/** Run f() on `engine`, recording its evaluator deltas in *w. */
+template <class F>
+auto
+measureWork(DseEngine &engine, SweepWork *w, F &&f)
+{
+    const dse::EvalCounters e0 = engine.evaluator().counters();
+    auto out = f();
+    const dse::EvalCounters d = engine.evaluator().counters() - e0;
+    w->modelEvals = d.modelEvals;
+    w->searches = d.searches;
+    return out;
+}
+
+/**
+ * The DSE sweeps' exact work. Each case runs a fixed sweep on one
+ * worker, checks the identity its optimizations must keep, and pins
+ * the optimized run's model evaluations (`runLayerWithEff` calls)
+ * and frontier sweeps. Every count is deterministic; a change that
+ * moves one updates its pin and says why.
+ */
+TEST(Engine, SweepWorkIsPinned)
+{
+    const Model rn50 = makeResNet50();
+    const Model mbv2 = makeMobileNetV2();
+    const Model effnet = makeEfficientNetV2();
+    const Model bert = makeBert();
+    HardwareConfig eyeriss;
+    eyeriss.name = "eyeriss";
+    eyeriss.rows = 12;
+    eyeriss.cols = 14;
+    eyeriss.l1Kb = 182;
+    eyeriss.freqGhz = 0.2;
+    eyeriss.numPpus = 4;
+    eyeriss.dataflows = {DataflowTag::KHOH};
+    const HardwareConfig deploy; // The paper's MN/IC-OC 16x16 default.
+
+    struct Sweep
+    {
+        const char *name;
+        std::function<SweepWork()> run;
+        std::uint64_t modelEvals, searches;
+    };
+    const Sweep sweeps[] = {
+        // The timeloop_dse hardware sweep: exhaustive Eyeriss boxes
+        // x RN50, naive vs optimized. The headline: >= 10x fewer
+        // model evaluations at an identical frontier.
+        {"timeloop_exhaustive_rn50",
+         [&] {
+             SweepWork w;
+             const CandidateSpace space = dse::eyerissEquivalentSpace();
+             DseEngine naive(oneWorker(true));
+             const DseResult rn = naive.explore(space, rn50);
+             DseEngine opt(oneWorker(false));
+             const DseResult ro = measureWork(
+                 opt, &w, [&] { return opt.explore(space, rn50); });
+             expectSameFrontier(rn.archive, ro.archive);
+             EXPECT_EQ(rn.stats.modelEvals, 118020u);
+             EXPECT_GE(rn.stats.modelEvals, 10 * w.modelEvals);
+             return w;
+         },
+         7066, 4200},
+        // Mapping search on the fixed Eyeriss box, naive vs optimized.
+        {"mapping_search_rn50",
+         [&] {
+             SweepWork w;
+             const ScheduleResult a =
+                 DseEngine(oneWorker(true)).mapModel(eyeriss, rn50);
+             DseEngine opt(oneWorker(false));
+             const ScheduleResult b = measureWork(
+                 opt, &w, [&] { return opt.mapModel(eyeriss, rn50); });
+             EXPECT_TRUE(sameSchedule(a, b));
+             return w;
+         },
+         22, 14},
+        // The same search rerun warm on one engine: every frontier
+        // lookup hits, so nothing is swept or evaluated.
+        {"mapping_search_rn50_warm",
+         [&] {
+             SweepWork w;
+             DseEngine opt(oneWorker(false));
+             const ScheduleResult cold = opt.mapModel(eyeriss, rn50);
+             const ScheduleResult warm = measureWork(
+                 opt, &w, [&] { return opt.mapModel(eyeriss, rn50); });
+             EXPECT_TRUE(sameSchedule(cold, warm));
+             return w;
+         },
+         0, 0},
+        // BERT's repeated blocks collapse to layer classes.
+        {"mapping_search_bert",
+         [&] {
+             SweepWork w;
+             const ScheduleResult a =
+                 DseEngine(oneWorker(true)).mapModel(deploy, bert);
+             DseEngine opt(oneWorker(false));
+             const ScheduleResult b = measureWork(
+                 opt, &w, [&] { return opt.mapModel(deploy, bert); });
+             EXPECT_TRUE(sameSchedule(a, b));
+             return w;
+         },
+         12, 6},
+        // K = 8 frontiers: naive vs optimized, and the unbudgeted
+        // composition must equal the scalar (K = 1) schedule.
+        {"frontier_sweep_rn50",
+         [&] {
+             SweepWork w;
+             const ScheduleResult a = DseEngine(oneWorker(true, 8))
+                                          .mapModelComposed(eyeriss, rn50);
+             DseEngine opt(oneWorker(false, 8));
+             const ScheduleResult b = measureWork(opt, &w, [&] {
+                 return opt.mapModelComposed(eyeriss, rn50);
+             });
+             const ScheduleResult scalar =
+                 DseEngine(oneWorker(false)).mapModel(eyeriss, rn50);
+             EXPECT_TRUE(sameSchedule(a, b));
+             EXPECT_TRUE(sameSchedule(scalar, b));
+             return w;
+         },
+         310, 14},
+        // Zoo-level dedup (the multimodel_mnicoc example's workload):
+        // one shared class table equals independent per-model runs.
+        {"multimodel_mnicoc",
+         [&] {
+             SweepWork w;
+             DseEngine naive(oneWorker(true));
+             const ScheduleResult na = naive.mapModel(deploy, mbv2);
+             const ScheduleResult ne = naive.mapModel(deploy, effnet);
+             const ScheduleResult nb = naive.mapModel(deploy, bert);
+             DseEngine opt(oneWorker(false));
+             const std::vector<const Model *> zoo = {&mbv2, &effnet,
+                                                     &bert};
+             const std::vector<ScheduleResult> shared = measureWork(
+                 opt, &w, [&] { return opt.mapZoo(deploy, zoo); });
+             EXPECT_EQ(shared.size(), 3u);
+             if (shared.size() == 3) {
+                 EXPECT_TRUE(sameSchedule(na, shared[0]));
+                 EXPECT_TRUE(sameSchedule(ne, shared[1]));
+                 EXPECT_TRUE(sameSchedule(nb, shared[2]));
+             }
+             return w;
+         },
+         104, 57},
+        // RN50 on a 2 GB/s box: segmentation off at 4 workers must
+        // equal the serial composition at 1; the segmented run's work
+        // is pinned. (Its dominance over serial is the
+        // segment_pipeline example's exit code.)
+        {"segment_pipeline_rn50",
+         [&] {
+             SweepWork w;
+             HardwareConfig hw;
+             hw.dram.bandwidthGBs = 2.0;
+             const ScheduleResult serial =
+                 DseEngine(oneWorker(false)).mapModelComposed(hw, rn50);
+             DseOptions off = oneWorker(false);
+             off.threads = 4;
+             EXPECT_TRUE(sameSchedule(
+                 serial, DseEngine(off).mapModelComposed(hw, rn50)));
+             DseOptions segmented = oneWorker(false);
+             segmented.compose.segment.enable = true;
+             DseEngine seg(segmented);
+             measureWork(seg, &w,
+                         [&] { return seg.mapModelComposed(hw, rn50); });
+             return w;
+         },
+         173, 86},
+    };
+    for (const Sweep &s : sweeps) {
+        SCOPED_TRACE(s.name);
+        const SweepWork w = s.run();
+        EXPECT_EQ(w.modelEvals, s.modelEvals);
+        EXPECT_EQ(w.searches, s.searches);
+    }
 }
 
 } // namespace

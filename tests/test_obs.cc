@@ -11,6 +11,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <regex>
@@ -368,6 +370,62 @@ TEST(ObsTrace, SpanGuardRecordsWhenEnabled)
     EXPECT_NE(json.find("{\"n\": 3}"), std::string::npos);
     tracer.clear();
 }
+
+#if LEGO_TRACE
+/**
+ * Tracing compiled in but disabled costs <= 2% of the headline
+ * sweep (exhaustive Eyeriss boxes x RN50). The figure is derived:
+ * the best-of-5 cost of one disabled span, times the spans an
+ * enabled rerun of the sweep records, over the sweep's untraced
+ * wall. Differencing two full-sweep walls would bury a signal this
+ * small in run-to-run noise.
+ */
+TEST(ObsTrace, DisabledOverheadUnderTwoPercentOfHeadline)
+{
+    using Clock = std::chrono::steady_clock;
+    const Model rn50 = makeResNet50();
+    const dse::CandidateSpace space = dse::eyerissEquivalentSpace();
+    dse::DseOptions opt;
+    opt.threads = 1;
+    ASSERT_FALSE(obs::Tracer::enabled());
+    Clock::time_point t0 = Clock::now();
+    dse::DseEngine(opt).explore(space, rn50);
+    const double wallSec =
+        std::chrono::duration<double>(Clock::now() - t0).count();
+
+    // Best of several tight batches: scheduler noise only ever
+    // inflates a batch.
+    constexpr std::uint64_t kIters = 1 << 20;
+    double bestSec = 1e300;
+    for (int rep = 0; rep < 5; ++rep) {
+        t0 = Clock::now();
+        for (std::uint64_t i = 0; i < kIters; ++i) {
+            LEGO_TRACE_SPAN("test.disabled", "test");
+        }
+        bestSec = std::min(
+            bestSec,
+            std::chrono::duration<double>(Clock::now() - t0).count());
+    }
+    const double spanNs = bestSec / double(kIters) * 1e9;
+
+    // Every span the sweep records, drops included: a dropped event
+    // still paid its record cost.
+    obs::Tracer &tracer = obs::Tracer::instance();
+    tracer.clear();
+    obs::Tracer::setEnabled(true);
+    const std::uint64_t before = tracer.recorded();
+    dse::DseEngine(opt).explore(space, rn50);
+    const std::uint64_t spans = tracer.recorded() - before;
+    obs::Tracer::setEnabled(false);
+    tracer.clear();
+
+    ASSERT_GT(spans, 0u);
+    const double pct = 100.0 * double(spans) * spanNs * 1e-9 / wallSec;
+    std::printf("disabled span %.2f ns x %llu spans / %.4f s = %.4f%%\n",
+                spanNs, (unsigned long long)spans, wallSec, pct);
+    EXPECT_LE(pct, 2.0);
+}
+#endif
 
 // ---- build info ------------------------------------------------------
 

@@ -4,9 +4,11 @@
  * and the model registry, admission ordering and drain/shutdown
  * semantics, warm-vs-cold replay identity (same schedules
  * bit-for-bit with a >= 90% warm frontier hit rate and zero warm
- * model evaluations), replay determinism for 1 vs N workers and for
+ * model evaluations and frontier sweeps, on a small trace and on the
+ * demo trace), replay determinism for 1 vs N workers and for
  * 1 vs N requests in flight (cold and warm), in-flight coalescing
  * (followers answered from the leader's computation with zero work,
+ * also on bench/serve_load.hh's duplicate-burst trace;
  * follower deadlines isolated from the leader, dense sequence
  * numbering under shed + coalesce), per-request stats exactness
  * under overlapped execution, and the CostCache::save/load failure
@@ -22,6 +24,7 @@
 #include <sstream>
 
 #include "lego.hh"
+#include "serve_load.hh"
 
 namespace lego
 {
@@ -68,11 +71,13 @@ tinyTrace()
 
 using serve::sameResponse;
 
+/** Replay `trace` through a fresh loop. *flushOk reports the
+ *  shutdown flush, *sweeps the frontier sweeps its engine ran. */
 std::vector<ServeResponse>
 replay(const std::vector<ServeRequest> &trace, int threads,
        const std::string &cachePath = std::string(),
        bool *flushOk = nullptr, std::size_t maxInFlight = 1,
-       bool coalesce = false)
+       bool coalesce = false, std::uint64_t *sweeps = nullptr)
 {
     ServeOptions opt;
     opt.dse.threads = threads;
@@ -92,6 +97,8 @@ replay(const std::vector<ServeRequest> &trace, int threads,
     const bool flushed = loop.shutdown();
     if (flushOk)
         *flushOk = flushed;
+    if (sweeps)
+        *sweeps = loop.engine().evaluator().counters().searches;
     return responses;
 }
 
@@ -225,8 +232,8 @@ TEST(ServeRequestParse, ModelRegistry)
 
 TEST(ServeRequestParse, CheckedInTraceMatchesDemoTrace)
 {
-    // The compiled-in demo trace gates bench_dse_perf's serve_replay
-    // sweep; the checked-in jsonl gates CI's serve-smoke. They must
+    // The compiled-in demo trace gates WarmColdIdentityAndFrontier-
+    // HitRate; the checked-in jsonl gates CI's serve-smoke. They must
     // be the SAME workload, or the two gates silently diverge.
     // Regenerate the file with `lego_serve --print-trace` after
     // editing demoTrace().
@@ -330,34 +337,45 @@ TEST(ServeLoop, WarmColdIdentityAndFrontierHitRate)
 {
     const std::string path =
         testing::TempDir() + "lego_serve_warm_cold.cache";
-    std::remove(path.c_str());
-    const std::vector<ServeRequest> trace = tinyTrace();
+    // The small trace, and lego_serve's demo trace (MobileNetV2 +
+    // EfficientNetV2 + BERT under varying objectives, budgets and K).
+    for (const std::vector<ServeRequest> &trace :
+         {tinyTrace(), serve::demoTrace()}) {
+        SCOPED_TRACE(trace.size());
+        std::remove(path.c_str());
+        bool flushOk = false;
+        std::vector<ServeResponse> cold = replay(trace, 1, path,
+                                                 &flushOk);
+        EXPECT_TRUE(flushOk); // The cache file must have been written.
+        std::uint64_t warmSweeps = 0;
+        std::vector<ServeResponse> warm =
+            replay(trace, 1, path, nullptr, 1, false, &warmSweeps);
 
-    bool flushOk = false;
-    std::vector<ServeResponse> cold = replay(trace, 1, path,
-                                             &flushOk);
-    EXPECT_TRUE(flushOk); // The cache file must have been written.
-    std::vector<ServeResponse> warm = replay(trace, 1, path);
-
-    ASSERT_EQ(cold.size(), trace.size());
-    ASSERT_EQ(warm.size(), trace.size());
-    std::uint64_t warmEvals = 0, warmFrontHits = 0,
-                  warmFrontLookups = 0;
-    for (std::size_t i = 0; i < trace.size(); ++i) {
-        EXPECT_TRUE(cold[i].ok) << cold[i].error;
-        // Warm answers are the cold answers, bit for bit.
-        EXPECT_TRUE(sameResponse(cold[i], warm[i])) << "request " << i;
-        warmEvals += warm[i].stats.dse.modelEvals;
-        warmFrontHits += warm[i].stats.dse.frontHits;
-        warmFrontLookups += warm[i].stats.dse.frontHits +
-                            warm[i].stats.dse.frontMisses;
+        ASSERT_EQ(cold.size(), trace.size());
+        ASSERT_EQ(warm.size(), trace.size());
+        std::uint64_t warmEvals = 0, warmFrontHits = 0,
+                      warmFrontLookups = 0;
+        for (std::size_t i = 0; i < trace.size(); ++i) {
+            // No deadline, unbounded queue: the exact path, in full.
+            EXPECT_TRUE(cold[i].ok) << cold[i].error;
+            EXPECT_FALSE(cold[i].degraded || cold[i].shed) << i;
+            // Warm answers are the cold answers, bit for bit.
+            EXPECT_TRUE(sameResponse(cold[i], warm[i]))
+                << "request " << i;
+            warmEvals += warm[i].stats.dse.modelEvals;
+            warmFrontHits += warm[i].stats.dse.frontHits;
+            warmFrontLookups += warm[i].stats.dse.frontHits +
+                                warm[i].stats.dse.frontMisses;
+        }
+        // The serving headline: a warm replay re-evaluates and
+        // re-sweeps nothing and serves its frontier lookups out of
+        // the persisted memo.
+        EXPECT_EQ(warmEvals, 0u);
+        EXPECT_EQ(warmSweeps, 0u);
+        ASSERT_GT(warmFrontLookups, 0u);
+        EXPECT_GE(double(warmFrontHits) / double(warmFrontLookups),
+                  0.90);
     }
-    // The serving headline: a warm replay re-evaluates nothing and
-    // serves its frontier lookups out of the persisted memo.
-    EXPECT_EQ(warmEvals, 0u);
-    ASSERT_GT(warmFrontLookups, 0u);
-    EXPECT_GE(double(warmFrontHits) / double(warmFrontLookups),
-              0.90);
     std::remove(path.c_str());
 }
 
@@ -401,26 +419,31 @@ TEST(ServeLoop, MaxInFlightReplayIdentityColdAndWarm)
         testing::TempDir() + "lego_serve_w1.cache";
     const std::string p4 =
         testing::TempDir() + "lego_serve_w4.cache";
-    std::remove(p1.c_str());
-    std::remove(p4.c_str());
-    const std::vector<ServeRequest> trace = duplicateBurstTrace();
+    // The small burst trace, and the serve-load trace: ~70%
+    // duplicates over mixed zoos, objectives, K, a segment key and a
+    // deadline-class key.
+    for (const std::vector<ServeRequest> &trace :
+         {duplicateBurstTrace(), bench::loadTrace(240)}) {
+        SCOPED_TRACE(trace.size());
+        std::remove(p1.c_str());
+        std::remove(p4.c_str());
+        std::vector<ServeResponse> cold1 = replay(trace, 2, p1);
+        std::vector<ServeResponse> warm1 = replay(trace, 2, p1);
+        std::vector<ServeResponse> cold4 =
+            replay(trace, 2, p4, nullptr, 4, true);
+        std::vector<ServeResponse> warm4 =
+            replay(trace, 2, p4, nullptr, 4, true);
 
-    std::vector<ServeResponse> cold1 = replay(trace, 2, p1);
-    std::vector<ServeResponse> warm1 = replay(trace, 2, p1);
-    std::vector<ServeResponse> cold4 =
-        replay(trace, 2, p4, nullptr, 4, true);
-    std::vector<ServeResponse> warm4 =
-        replay(trace, 2, p4, nullptr, 4, true);
-
-    ASSERT_EQ(cold1.size(), trace.size());
-    ASSERT_EQ(warm1.size(), trace.size());
-    ASSERT_EQ(cold4.size(), trace.size());
-    ASSERT_EQ(warm4.size(), trace.size());
-    for (std::size_t i = 0; i < trace.size(); ++i) {
-        EXPECT_TRUE(cold1[i].ok) << cold1[i].error;
-        EXPECT_TRUE(sameResponse(cold1[i], warm1[i])) << i;
-        EXPECT_TRUE(sameResponse(cold1[i], cold4[i])) << i;
-        EXPECT_TRUE(sameResponse(cold1[i], warm4[i])) << i;
+        ASSERT_EQ(cold1.size(), trace.size());
+        ASSERT_EQ(warm1.size(), trace.size());
+        ASSERT_EQ(cold4.size(), trace.size());
+        ASSERT_EQ(warm4.size(), trace.size());
+        for (std::size_t i = 0; i < trace.size(); ++i) {
+            EXPECT_TRUE(cold1[i].ok) << cold1[i].error;
+            EXPECT_TRUE(sameResponse(cold1[i], warm1[i])) << i;
+            EXPECT_TRUE(sameResponse(cold1[i], cold4[i])) << i;
+            EXPECT_TRUE(sameResponse(cold1[i], warm4[i])) << i;
+        }
     }
     std::remove(p1.c_str());
     std::remove(p4.c_str());
@@ -501,6 +524,27 @@ TEST(ServeLoop, CoalescingJoinsDuplicatesWithZeroWork)
     for (std::size_t s = 0; s < rs[4].schedules.size(); ++s)
         EXPECT_TRUE(
             sameSchedule(rs[4].schedules[s], rs[0].schedules[s]));
+
+    // The serve-load trace at 4 in flight, cold then warm: many
+    // followers, none of them doing work, and no request failing.
+    const std::string path =
+        testing::TempDir() + "lego_serve_load_w4.cache";
+    std::remove(path.c_str());
+    for (const char *pass : {"cold", "warm"}) {
+        std::size_t followers = 0;
+        for (const ServeResponse &r : replay(bench::loadTrace(240), 2,
+                                             path, nullptr, 4, true)) {
+            EXPECT_TRUE(r.ok) << pass << " " << r.seq << ": "
+                              << r.error;
+            if (r.coalesced) {
+                ++followers;
+                EXPECT_EQ(r.stats.dse.modelEvals, 0u)
+                    << pass << " " << r.seq;
+            }
+        }
+        EXPECT_GT(followers, 0u) << pass;
+    }
+    std::remove(path.c_str());
 }
 
 TEST(ServeLoop, FollowerDeadlineNeverCancelsLeader)
