@@ -1,33 +1,25 @@
 /**
  * @file
- * Standalone serve-load generator: replays the fixed-seed
- * duplicate-burst trace (bench/serve_load.hh) through the serving
- * loop, cold and warm, at maxInFlight 1 (coalescing off — the
- * historic single-dispatch loop) and maxInFlight 4 (coalescing on),
- * and gates the concurrency contract:
+ * Serve-load generator: replays the fixed-seed duplicate-burst trace
+ * (bench/serve_load.hh, 2400 requests) through the serving loop,
+ * cold and warm, at maxInFlight 1 (coalescing off — the historic
+ * single-dispatch loop) and maxInFlight 4 (coalescing on), and gates
+ * the concurrency contract:
  *
  *  - response-set identity across all four configurations, pairwise
  *    (serve::sameResponse — the bit-reproducibility headline),
  *  - zero model evaluations charged to coalesced followers,
  *  - zero unexpected errors anywhere,
- *  - full mode only: warm W4+coalesce throughput >= 1.5x warm W1.
- *    On a single-core box the win is pure work reduction —
- *    followers skip their sweep AND their compose — so the ratio
- *    holds without any parallel speedup.
+ *  - warm W4+coalesce throughput >= kMinWarmSpeedup x warm W1. On a
+ *    single-core box the win is pure work reduction — followers skip
+ *    their sweep AND their compose — so the ratio holds without any
+ *    parallel speedup.
  *
- * Usage:
- *   bench_serve_load [--smoke] [--requests N]
- *
- * --smoke shrinks the trace (240 requests) and drops the throughput
- * gate — identity and zero-follower-work still gate — so it is cheap
- * enough for every CI job including sanitizer builds. The default
- * full run (2400 requests) is the Release-job gate; bench_dse_perf
- * reruns the same matrix for the tracked BENCH_dse.json numbers.
+ * Usage: bench_serve_load (no flags). The identity and zero-work
+ * gates also run, on a 240-request trace, in tests/test_serve.cc.
  */
 
 #include <cstdio>
-#include <cstring>
-#include <string>
 
 #include "obs/build_info.hh"
 #include "serve_load.hh"
@@ -48,28 +40,22 @@ printPass(const char *name, const bench::LoadPassResult &p)
                 100.0 * p.shedRate);
 }
 
+/**
+ * The warm_speedup floor: Q1 - 1.5 IQR of 40 runs of this harness on
+ * a 4-vCPU x86-64 Linux box (10.34x-17.54x, Q1 11.98x, Q3 15.26x),
+ * so run-to-run noise does not trip it but losing most of the
+ * coalescing payoff does. A ratio, so it travels between machines.
+ */
+constexpr double kMinWarmSpeedup = 7.0;
+
 } // namespace
 
 int
-main(int argc, char **argv)
+main()
 {
-    bool smoke = false;
-    std::size_t requests = 0;
-    for (int i = 1; i < argc; ++i) {
-        if (!std::strcmp(argv[i], "--smoke"))
-            smoke = true;
-        else if (!std::strcmp(argv[i], "--requests") && i + 1 < argc)
-            requests = std::size_t(std::strtoull(argv[++i], nullptr,
-                                                 10));
-    }
-    if (requests == 0)
-        requests = smoke ? 240 : 2400;
     std::printf("%s\n", obs::buildInfo().oneLine().c_str());
-    std::printf("serve load: %zu requests (%s)\n", requests,
-                smoke ? "smoke" : "full");
-
-    const std::vector<serve::ServeRequest> trace =
-        bench::loadTrace(requests);
+    const std::vector<serve::ServeRequest> trace = bench::loadTrace(2400);
+    std::printf("serve load: %zu requests\n", trace.size());
     const bench::ServeLoadNumbers n =
         bench::runLoadMatrix(trace, "bench_serve_load");
 
@@ -103,12 +89,9 @@ main(int argc, char **argv)
                     (unsigned long long)errors);
         ok = false;
     }
-    // Throughput gates only in full mode: a 240-request smoke run on
-    // a loaded CI box is too short to time meaningfully, and the
-    // identity + zero-work gates above are the correctness story.
-    if (!smoke && n.warmSpeedup < 1.5) {
-        std::printf("FAIL: warm coalescing speedup %.2fx < 1.5x\n",
-                    n.warmSpeedup);
+    if (n.warmSpeedup < kMinWarmSpeedup) {
+        std::printf("FAIL: warm coalescing speedup %.2fx < %.1fx\n",
+                    n.warmSpeedup, kMinWarmSpeedup);
         ok = false;
     }
     return ok ? 0 : 1;

@@ -4,11 +4,10 @@
  * trace and the machinery to replay it through a ServeLoop at a
  * given (maxInFlight, coalesce) configuration, cold or warm.
  *
- * Used by two binaries — bench_serve_load (the standalone load
- * generator with its own gates) and bench_dse_perf (which folds a
- * "serve_load" section into BENCH_dse.json) — so the workload the
- * CI gates run and the workload the tracked numbers describe cannot
- * drift apart.
+ * Used by bench_serve_load (the load generator with its throughput
+ * gate) and tests/test_serve.cc (identity and zero follower work on
+ * a 240-request trace), so the workload the two gate cannot drift
+ * apart.
  *
  * The trace is deterministic (LCG-seeded, no wall-clock anywhere):
  * a pool of distinct request keys over the small registry networks
@@ -206,8 +205,8 @@ sameResponses(const std::vector<serve::ServeResponse> &a,
     return true;
 }
 
-/** The four tracked configurations (cold and warm at each window),
- *  plus the derived gates. Schema-stable input for both binaries. */
+/** The four configurations (cold and warm at each window), plus
+ *  the derived gates. */
 struct ServeLoadNumbers
 {
     std::size_t requests = 0;

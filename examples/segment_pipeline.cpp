@@ -12,8 +12,7 @@
  * Prints the segmented schedule and the pipelined-vs-serial
  * comparison; exits non-zero unless at least one pipelined segment
  * is accepted AND the segmented schedule strictly dominates the
- * serial one on both latency and energy (the same acceptance the
- * bench_dse_perf segment_pipeline_rn50 sweep gates in CI).
+ * serial one on both latency and energy. CI runs it as that gate.
  */
 
 #include <cstdio>

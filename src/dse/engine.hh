@@ -64,8 +64,7 @@ struct DseOptions
     /**
      * Evaluator reuse/pruning switches. The defaults (all on) keep
      * results bit-identical to the naive sweep; turning them off
-     * exists for equivalence tests and perf baselines
-     * (bench_dse_perf).
+     * exists for equivalence tests (Engine.SweepWorkIsPinned).
      */
     EvalPolicy eval;
     /**

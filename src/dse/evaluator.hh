@@ -95,8 +95,7 @@ bool betterResult(const LayerResult &r, const LayerResult &best);
 /**
  * Reuse/pruning switches of the evaluator. All default on; the
  * naive configuration reproduces the pre-optimization exhaustive
- * sweep bit-for-bit and exists for equivalence tests and the perf
- * baseline in bench_dse_perf.
+ * sweep bit-for-bit and exists for equivalence tests.
  */
 struct EvalPolicy
 {

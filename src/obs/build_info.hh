@@ -1,10 +1,10 @@
 /**
  * @file
  * Build-info stamp embedded in the library so every perf artifact
- * (BENCH_dse.json, trace metadata, serve stats snapshots, startup
- * banners) is attributable to an exact build: git describe, compiler,
- * flags, build type, cache file format version, and whether tracing
- * was compiled in.
+ * (trace metadata, serve stats snapshots, startup banners) is
+ * attributable to an exact build: git describe, compiler, flags,
+ * build type, cache file format version, and whether tracing was
+ * compiled in.
  *
  * git/flags/build-type come from CMake compile definitions on
  * build_info.cc (LEGO_GIT_DESCRIBE, LEGO_BUILD_FLAGS,

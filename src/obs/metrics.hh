@@ -145,7 +145,7 @@ std::vector<double> defaultLatencyBucketsUs();
  * Exact nearest-rank percentile over raw samples (sorts a copy):
  * the ceil(q * n)-th smallest sample. The reference the histogram
  * percentile approximates; used where full sample sets are cheap
- * (bench_dse_perf per-request latencies).
+ * (bench_serve_load per-request latencies).
  */
 double percentileOf(std::vector<double> samples, double q);
 

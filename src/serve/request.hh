@@ -127,7 +127,7 @@ std::string coalesceKey(const ServeRequest &req);
  * The checked-in demo trace (examples/serve_trace.jsonl): twelve
  * requests over MobileNetV2 + EfficientNetV2 + BERT with varying
  * objectives, budgets, and K — the workload lego_serve replays and
- * bench_dse_perf's serve_replay sweep gates.
+ * test_serve's warm/cold identity test gates.
  */
 std::vector<ServeRequest> demoTrace();
 

@@ -132,8 +132,8 @@ struct ServeResponse
  * Bit-exact response equality: outcome, identity, degradation/shed
  * flags, and every composed schedule (via lego::sameSchedule). THE
  * comparator behind the replay-identity gates (cold-vs-warm, 1-vs-N
- * workers, 1-vs-N in flight) in lego_serve, bench_dse_perf,
- * bench_serve_load, and tests/test_serve.cc — shared so the gates
+ * workers, 1-vs-N in flight) in lego_serve, bench_serve_load,
+ * and tests/test_serve.cc — shared so the gates
  * cannot drift apart. Stats, retryAfterMs, latencyMs, and
  * coalesced/leaderSeq are deliberately excluded: cache-tier counts
  * and load artifacts legitimately differ between passes (a coalesced

@@ -1,43 +1,29 @@
 #!/usr/bin/env python3
-"""Validate the observability artifacts a lego_serve / bench_dse_perf
-run emits: Chrome trace_event JSON schema, metrics-snapshot JSON
-schema, access-log shape/line count, and (optionally) the
-disabled-tracing overhead gate in BENCH_dse.json.
+"""Validate the observability artifacts a lego_serve run emits:
+Chrome trace_event JSON schema, metrics-snapshot JSON schema, and
+access-log shape/line count.
 
 Usage:
   check_obs.py [--trace FILE] [--stats FILE
                 [--expect-failpoints N] [--require-shared-cache]]
                [--access-log FILE --expect-requests N]
-               [--bench FILE --max-overhead-pct PCT
-                [--require-segment-dominance]]
 
 Metrics snapshots carrying DSE engine counters must include the
 dse.segment.* segmentation-search family and every dse.cache.* /
 dse.eval.* metric of the counter table in src/dse/counters.hh (as a
 gauge for its Gauge rows, as a counter otherwise); snapshots carrying
-serve.*
-counters must include the robustness family (serve.shed,
+serve.* counters must include the robustness family (serve.shed,
 serve.degraded, serve.stalled, serve.internal_errors counters and
 the serve.queue_depth gauge) and the concurrency family
-(serve.coalesced counter, serve.in_flight gauge). --bench
-additionally validates BENCH_dse.json's serve_load section
-(schema 4): response-set identity across the cold/warm x
-maxInFlight {1, 4} matrix, zero coalesced-follower model evals, and
-a >= 1.5x warm coalescing speedup. --expect-failpoints N requires >= N
-distinct failpoint.* counters with >= 1 hit each — the chaos-smoke
-proof that the fault-injection replay actually fired its seams.
---require-segment-dominance additionally gates BENCH_dse.json's
-segment_pipeline_rn50 sweep (>= 1 pipelined segment, latency/energy
-ratios < 1, disabled-path identity). --require-shared-cache asserts
-the stats snapshot came from a pure shared-cache reader: zero model
+(serve.coalesced counter, serve.in_flight gauge).
+--expect-failpoints N requires >= N distinct failpoint.* counters
+with >= 1 hit each — the chaos-smoke proof that the fault-injection
+replay actually fired its seams. --require-shared-cache asserts the
+stats snapshot came from a pure shared-cache reader: zero model
 evaluations and frontier sweeps, zero frontier misses, >= 1 frontier
 hit served from the mmap'd snapshot tier, and a mapped generation
 >= 1 — the multi-process smoke proof that every answer came
-copy-free out of the published file. --bench also validates the cache_eviction
-section (schema 6): at half the working set, nonzero evictions,
-resident bytes within the cap and frontiers identical to the
-unbounded ones; at hit_rate_cap_bytes, a bounded warm frontier-hit
-rate within 10 points of the unbounded ideal.
+copy-free out of the published file.
 
 Every given artifact is validated; any violation exits 1 with a
 message. Stdlib only — runs on a bare CI python3.
@@ -112,9 +98,9 @@ def check_stats(path, expect_failpoints=None,
     build = doc.get("build")
     if not isinstance(build, dict) or "git" not in build:
         fail(f"{path}: missing build-info stamp")
-    serve = doc.get("serve", doc.get("process"))
+    serve = doc.get("serve")
     if not isinstance(serve, dict):
-        return fail(f"{path}: no serve/process metrics object")
+        return fail(f"{path}: no serve metrics object")
     for section in ("counters", "gauges", "histograms"):
         if section not in serve:
             return fail(f"{path}: metrics missing {section!r}")
@@ -151,9 +137,7 @@ def check_stats(path, expect_failpoints=None,
             if name not in serve["gauges"]:
                 return fail(f"{path}: gauges missing {name!r}")
     if expect_failpoints is not None:
-        # Failpoint hit counters land in the process-global registry;
-        # accept them from either object so bench-style snapshots
-        # (process only) validate too.
+        # Failpoint hit counters land in the process-global registry.
         fired = set()
         for obj in (serve, doc.get("process") or {}):
             for name, value in obj.get("counters", {}).items():
@@ -220,128 +204,6 @@ def check_access_log(path, expect_requests):
     print(f"ok: {path}: {len(lines)} lines ({rejected} rejected)")
 
 
-def check_bench(path, max_overhead_pct, require_segment_dominance):
-    with open(path) as f:
-        doc = json.load(f)
-    tracing = doc.get("tracing")
-    if not isinstance(tracing, dict):
-        return fail(f"{path}: missing tracing object")
-    if "build" not in doc:
-        fail(f"{path}: missing build-info stamp")
-    pct = tracing.get("disabled_overhead_pct")
-    if pct is None:
-        return fail(f"{path}: missing disabled_overhead_pct")
-    if max_overhead_pct is not None and pct > max_overhead_pct:
-        return fail(f"{path}: disabled-tracing overhead {pct}% > "
-                    f"{max_overhead_pct}%")
-    sweeps = {s["name"]: s for s in doc.get("sweeps", [])}
-    serve = sweeps.get("serve_replay")
-    if serve is None:
-        return fail(f"{path}: no serve_replay sweep")
-    for key in ("p50_ms", "p95_ms", "p99_ms"):
-        if key not in serve:
-            return fail(f"{path}: serve_replay missing {key!r}")
-    # Schema 4: the concurrent-serving load matrix. Identity and
-    # zero follower work are correctness gates; the coalescing
-    # speedup gates as a ratio (machine-independent).
-    load = doc.get("serve_load")
-    if not isinstance(load, dict):
-        return fail(f"{path}: missing serve_load section (schema 4)")
-    for key in ("requests", "identical_responses",
-                "follower_model_evals", "warm_speedup", "configs"):
-        if key not in load:
-            return fail(f"{path}: serve_load missing {key!r}")
-    if not load["identical_responses"]:
-        fail(f"{path}: serve_load response sets diverged across "
-             "configurations")
-    if load["follower_model_evals"] != 0:
-        fail(f"{path}: serve_load coalesced followers ran "
-             f"{load['follower_model_evals']} model evals (want 0)")
-    if load["warm_speedup"] < 1.5:
-        fail(f"{path}: serve_load warm_speedup "
-             f"{load['warm_speedup']}x < 1.5x")
-    configs = {c.get("name"): c for c in load["configs"]}
-    for name in ("w1_cold", "w1_warm", "w4_cold", "w4_warm"):
-        cfg = configs.get(name)
-        if cfg is None:
-            fail(f"{path}: serve_load missing config {name!r}")
-            continue
-        for key in ("requests_per_sec", "p50_ms", "p95_ms",
-                    "p99_ms", "coalesce_rate", "shed_rate"):
-            if key not in cfg:
-                fail(f"{path}: serve_load config {name}: missing "
-                     f"{key!r}")
-    if not FAILURES:
-        print(f"ok: {path}: serve_load: {load['requests']} requests,"
-              f" warm speedup {load['warm_speedup']}x, w4 warm "
-              f"p99 {configs['w4_warm']['p99_ms']} ms")
-    # Schema 6: the bounded-cache eviction sweep. At cap_bytes the
-    # bound must be real (evictions fired, footprint within cap) and
-    # change no answer; at hit_rate_cap_bytes it must not cost warm
-    # frontier hits (within 10 points of the unbounded ideal).
-    evict = doc.get("cache_eviction")
-    if not isinstance(evict, dict):
-        return fail(f"{path}: missing cache_eviction section "
-                    "(schema 6)")
-    for key in ("working_set_bytes", "cap_bytes", "evictions",
-                "resident_bytes", "identical_frontiers",
-                "hit_rate_cap_bytes", "unbounded_warm_front_hit_rate",
-                "bounded_warm_front_hit_rate", "ok"):
-        if key not in evict:
-            return fail(f"{path}: cache_eviction missing {key!r}")
-    if evict["evictions"] < 1:
-        fail(f"{path}: cache_eviction replay evicted nothing")
-    if evict["resident_bytes"] > evict["cap_bytes"]:
-        fail(f"{path}: cache_eviction resident "
-             f"{evict['resident_bytes']} B over cap "
-             f"{evict['cap_bytes']} B")
-    if not evict["identical_frontiers"]:
-        fail(f"{path}: cache_eviction bounded frontiers diverged "
-             "from the unbounded ones")
-    if (evict["bounded_warm_front_hit_rate"]
-            < evict["unbounded_warm_front_hit_rate"] - 0.10):
-        fail(f"{path}: bounded warm frontier-hit rate "
-             f"{evict['bounded_warm_front_hit_rate']} fell more "
-             f"than 10 points below unbounded "
-             f"{evict['unbounded_warm_front_hit_rate']}")
-    if not evict["ok"]:
-        fail(f"{path}: cache_eviction self-reported failure")
-    if not FAILURES:
-        print(f"ok: {path}: cache_eviction: "
-              f"{evict['evictions']} evictions, "
-              f"{evict['resident_bytes']}/{evict['cap_bytes']} B "
-              f"resident, warm frontier rate "
-              f"{evict['bounded_warm_front_hit_rate']} at "
-              f"{evict['hit_rate_cap_bytes']} B vs "
-              f"{evict['unbounded_warm_front_hit_rate']} unbounded")
-    if require_segment_dominance:
-        seg = sweeps.get("segment_pipeline_rn50")
-        if seg is None:
-            return fail(f"{path}: no segment_pipeline_rn50 sweep")
-        for key in ("pipelined_segments", "latency_ratio",
-                    "energy_ratio", "identical_output"):
-            if key not in seg:
-                return fail(f"{path}: segment_pipeline_rn50 missing "
-                            f"{key!r}")
-        if not seg["identical_output"]:
-            fail(f"{path}: segmentation-off schedule diverged from "
-                 "the serial composition")
-        if seg["pipelined_segments"] < 1:
-            fail(f"{path}: no pipelined segments accepted")
-        if seg["latency_ratio"] >= 1.0 or seg["energy_ratio"] >= 1.0:
-            fail(f"{path}: segmented schedule does not strictly "
-                 f"dominate serial (latency {seg['latency_ratio']}, "
-                 f"energy {seg['energy_ratio']})")
-        if not FAILURES:
-            print(f"ok: {path}: segment_pipeline_rn50: "
-                  f"{seg['pipelined_segments']} pipelined segments, "
-                  f"latency {seg['latency_ratio']}x, "
-                  f"energy {seg['energy_ratio']}x")
-    print(f"ok: {path}: disabled overhead {pct}%, serve_replay "
-          f"p50/p95/p99 = {serve['p50_ms']}/{serve['p95_ms']}/"
-          f"{serve['p99_ms']} ms")
-
-
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--trace", help="Chrome trace_event JSON")
@@ -352,14 +214,6 @@ def main():
     ap.add_argument("--access-log", help="per-request JSON lines")
     ap.add_argument("--expect-requests", type=int, default=None,
                     help="exact access-log line count")
-    ap.add_argument("--bench", help="BENCH_dse.json")
-    ap.add_argument("--max-overhead-pct", type=float, default=None,
-                    help="fail if disabled-tracing overhead exceeds")
-    ap.add_argument("--require-segment-dominance",
-                    action="store_true",
-                    help="fail unless segment_pipeline_rn50 shows "
-                         ">= 1 pipelined segment with latency and "
-                         "energy ratios < 1")
     ap.add_argument("--require-shared-cache",
                     action="store_true",
                     help="fail unless the stats snapshot shows a "
@@ -367,8 +221,7 @@ def main():
                          "0 frontier misses, >= 1 mapped frontier "
                          "hit, generation >= 1)")
     args = ap.parse_args()
-    if not (args.trace or args.stats or args.access_log
-            or args.bench):
+    if not (args.trace or args.stats or args.access_log):
         ap.error("nothing to check")
     if args.trace:
         check_trace(args.trace)
@@ -377,9 +230,6 @@ def main():
                     args.require_shared_cache)
     if args.access_log:
         check_access_log(args.access_log, args.expect_requests)
-    if args.bench:
-        check_bench(args.bench, args.max_overhead_pct,
-                    args.require_segment_dominance)
     sys.exit(1 if FAILURES else 0)
 
 
