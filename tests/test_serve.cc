@@ -444,6 +444,19 @@ TEST(ServeLoop, MaxInFlightReplayIdentityColdAndWarm)
             EXPECT_TRUE(sameResponse(cold1[i], cold4[i])) << i;
             EXPECT_TRUE(sameResponse(cold1[i], warm4[i])) << i;
         }
+        // At 4 in flight, cold and warm: no request fails, and the
+        // coalesced followers do no work of their own.
+        for (const std::vector<ServeResponse> *rs : {&cold4, &warm4}) {
+            std::size_t followers = 0;
+            for (const ServeResponse &r : *rs) {
+                EXPECT_TRUE(r.ok) << r.seq << ": " << r.error;
+                if (r.coalesced) {
+                    ++followers;
+                    EXPECT_EQ(r.stats.dse.modelEvals, 0u) << r.seq;
+                }
+            }
+            EXPECT_GT(followers, 0u);
+        }
     }
     std::remove(p1.c_str());
     std::remove(p4.c_str());
@@ -524,27 +537,6 @@ TEST(ServeLoop, CoalescingJoinsDuplicatesWithZeroWork)
     for (std::size_t s = 0; s < rs[4].schedules.size(); ++s)
         EXPECT_TRUE(
             sameSchedule(rs[4].schedules[s], rs[0].schedules[s]));
-
-    // The serve-load trace at 4 in flight, cold then warm: many
-    // followers, none of them doing work, and no request failing.
-    const std::string path =
-        testing::TempDir() + "lego_serve_load_w4.cache";
-    std::remove(path.c_str());
-    for (const char *pass : {"cold", "warm"}) {
-        std::size_t followers = 0;
-        for (const ServeResponse &r : replay(bench::loadTrace(240), 2,
-                                             path, nullptr, 4, true)) {
-            EXPECT_TRUE(r.ok) << pass << " " << r.seq << ": "
-                              << r.error;
-            if (r.coalesced) {
-                ++followers;
-                EXPECT_EQ(r.stats.dse.modelEvals, 0u)
-                    << pass << " " << r.seq;
-            }
-        }
-        EXPECT_GT(followers, 0u) << pass;
-    }
-    std::remove(path.c_str());
 }
 
 TEST(ServeLoop, FollowerDeadlineNeverCancelsLeader)
