@@ -116,13 +116,11 @@ main()
                 (unsigned long long)r.stats.frontMisses,
                 r.stats.wallSeconds);
     std::printf("hot path: %llu model evals, %llu tilings pruned "
-                "(%llu whole dataflows), %llu layers deduped, "
-                "L0 %llu hits\n",
+                "(%llu whole dataflows), %llu layers deduped\n",
                 (unsigned long long)r.stats.modelEvals,
                 (unsigned long long)r.stats.mappingsPruned,
                 (unsigned long long)r.stats.dataflowsPruned,
-                (unsigned long long)r.stats.layersDeduped,
-                (unsigned long long)r.stats.l0Hits);
+                (unsigned long long)r.stats.layersDeduped);
     const dse::DsePoint *pick =
         r.archive.bestUnderLatency(base.latencyCycles, 2);
     if (pick) {

@@ -50,7 +50,7 @@
  * Multi-process shared-cache mode:
  *   --shared-cache FILE  single-pass READER replay: attach FILE as
  *                        the mmap'd read-mostly cache tier (no
- *                        private cache file, L0/L1 start empty) and
+ *                        private cache file, so L1 starts empty) and
  *                        replay the trace once. Exit 0 requires
  *                        every request ok, zero model evaluations
  *                        and frontier sweeps, >= 90% frontier hit

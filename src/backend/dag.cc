@@ -175,24 +175,6 @@ Dag::retargetEdgeSource(int id, int new_from)
     out_.at(size_t(new_from)).push_back(id);
 }
 
-int
-Dag::liveNodes() const
-{
-    int n = 0;
-    for (const DagNode &v : nodes_)
-        n += v.dead ? 0 : 1;
-    return n;
-}
-
-int
-Dag::liveEdges() const
-{
-    int n = 0;
-    for (const DagEdge &e : edges_)
-        n += e.dead ? 0 : 1;
-    return n;
-}
-
 std::vector<int>
 Dag::nodesOf(PrimOp op) const
 {

@@ -144,10 +144,6 @@ class Dag
     /** Move an edge's source to another node. */
     void retargetEdgeSource(int id, int new_from);
 
-    /** Live (non-dead) node / edge counts. */
-    int liveNodes() const;
-    int liveEdges() const;
-
   private:
     int numConfigs_;
     std::vector<DagNode> nodes_;

@@ -54,12 +54,4 @@ primLatency(PrimOp op)
     }
 }
 
-bool
-primIsSequential(PrimOp op)
-{
-    return op == PrimOp::Counter || op == PrimOp::Fifo ||
-           op == PrimOp::MemRead || op == PrimOp::MemWrite ||
-           op == PrimOp::Mul;
-}
-
 } // namespace lego

@@ -46,9 +46,6 @@ std::string primOpName(PrimOp op);
  */
 Int primLatency(PrimOp op);
 
-/** True when the primitive holds architectural state. */
-bool primIsSequential(PrimOp op);
-
 } // namespace lego
 
 #endif // LEGO_BACKEND_PRIMITIVES_HH

@@ -50,15 +50,6 @@ opKindName(OpKind op)
 }
 
 int
-Workload::dimIndex(const std::string &dim) const
-{
-    for (size_t i = 0; i < iterDims.size(); i++)
-        if (iterDims[i] == dim)
-            return int(i);
-    fatal("workload '" + name + "': unknown iteration dim '" + dim + "'");
-}
-
-int
 Workload::tensorIndex(const std::string &tname) const
 {
     for (size_t i = 0; i < tensors.size(); i++)

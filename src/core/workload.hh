@@ -69,9 +69,6 @@ struct Workload
 
     OpKind op = OpKind::Mac;
 
-    /** Index of an iteration dim by name; fatal() if unknown. */
-    int dimIndex(const std::string &name) const;
-
     /** Index of a tensor by name; fatal() if unknown. */
     int tensorIndex(const std::string &name) const;
 

@@ -741,80 +741,18 @@ class SharedSnapshot
     CacheImage image_;
 };
 
-namespace
-{
-
-/**
- * Thread-local frontier L0: a direct-mapped table shared by every
- * CostCache a thread talks to. Slots are tagged with the owning
- * cache's process-unique id and clear()-epoch; a mismatched tag is
- * simply a miss, so stale entries (other caches, cleared caches,
- * reused addresses — ids are never reused) cannot leak. Power-of-two
- * size so the index is a mask of the precomputed key hash.
- */
-struct L0Slot
-{
-    bool used = false;
-    std::uint64_t owner = 0;
-    std::uint64_t epoch = 0;
-    CacheKey key;
-    std::vector<FrontierPoint> val;
-
-    void fill(std::uint64_t o, std::uint64_t e, const CacheKey &k,
-              const std::vector<FrontierPoint> &v)
-    {
-        used = true;
-        owner = o;
-        epoch = e;
-        key = k;
-        val = v;
-    }
-};
-
-constexpr std::size_t kL0Slots = 512;
-static_assert((kL0Slots & (kL0Slots - 1)) == 0,
-              "L0 size must be a power of two");
-
-L0Slot &
-l0SlotFor(const CacheKey &key)
-{
-    thread_local std::vector<L0Slot> slots(kL0Slots);
-    return slots[std::size_t(key.hashValue) & (kL0Slots - 1)];
-}
-
-std::uint64_t
-nextCacheId()
-{
-    static std::atomic<std::uint64_t> counter{1};
-    return counter.fetch_add(1, std::memory_order_relaxed);
-}
-
-} // namespace
-
-CostCache::CostCache(int shards) : id_(nextCacheId())
-{
-    int n = shards < 1 ? 1 : shards;
-    shards_.reserve(std::size_t(n));
-    for (int s = 0; s < n; ++s)
-        shards_.push_back(std::make_unique<Shard>());
-}
-
-CostCache::~CostCache() = default;
-
 CostCache::Shard &
 CostCache::shardFor(const CacheKey &key)
 {
-    return *shards_[std::size_t(key.hashValue) % shards_.size()];
+    return shards_[std::size_t(key.hashValue) % kShards];
 }
 
-// ---- bounded L1: capacity + epoch-batched cost-aware LRU ------------
+// ---- bounded L1: capacity + snapshot-batched cost-aware LRU ---------
 
 void
-CostCache::setCapacity(std::uint64_t maxBytes,
-                       std::uint64_t maxEntries)
+CostCache::setCapacity(std::uint64_t maxBytes)
 {
     maxBytes_.store(maxBytes, std::memory_order_relaxed);
-    maxEntries_.store(maxEntries, std::memory_order_relaxed);
     if (overCapacity())
         enforceCapacity();
 }
@@ -823,41 +761,21 @@ bool
 CostCache::overCapacity() const
 {
     const std::uint64_t mb = maxBytes_.load(std::memory_order_relaxed);
-    const std::uint64_t me =
-        maxEntries_.load(std::memory_order_relaxed);
-    return (mb != 0 && residentBytes() > mb) ||
-           (me != 0 &&
-            entryCount_.load(std::memory_order_relaxed) > me);
+    return mb != 0 && residentBytes() > mb;
 }
-
 
 void
 CostCache::enforceCapacity()
 {
-    // One evictor at a time; racing inserters return immediately —
-    // the running batch will account for their bytes too (it reads
-    // the gauges as it goes).
-    std::unique_lock<std::mutex> evictLk(evictMu_, std::try_to_lock);
-    if (!evictLk.owns_lock())
-        return;
+    // One batch at a time. An insert that lands while a batch runs
+    // waits here and re-checks afterwards: the running batch only
+    // frees what its own snapshot is over the target, so the racer's
+    // bytes are the racer's to evict.
+    std::lock_guard<std::mutex> evictLk(evictMu_);
     if (!overCapacity())
         return;
     LEGO_TRACE_SPAN_ARG("cache.evict", "cache", "resident_bytes",
                         residentBytes());
-
-    // Batch target: 7/8 of each bound, so inserts between batches
-    // amortize the O(entries) candidate scan below.
-    const std::uint64_t mb = maxBytes_.load(std::memory_order_relaxed);
-    const std::uint64_t me =
-        maxEntries_.load(std::memory_order_relaxed);
-    const std::uint64_t targetBytes = mb == 0 ? 0 : mb - mb / 8;
-    const std::uint64_t targetEntries = me == 0 ? 0 : me - me / 8;
-    auto overTarget = [&] {
-        return (mb != 0 && residentBytes() > targetBytes) ||
-               (me != 0 &&
-                entryCount_.load(std::memory_order_relaxed) >
-                    targetEntries);
-    };
 
     // Rank every resident entry by (kind rank, last use): frontiers
     // first (each one reconstructs from one per-layer sweep), then
@@ -876,10 +794,9 @@ CostCache::enforceCapacity()
         CacheKey key;
     };
     std::vector<Cand> cands;
-    cands.reserve(
-        std::size_t(entryCount_.load(std::memory_order_relaxed)));
-    for (std::uint32_t si = 0; si < shards_.size(); ++si) {
-        Shard &s = *shards_[si];
+    std::uint64_t snapshotBytes = 0;
+    for (std::uint32_t si = 0; si < kShards; ++si) {
+        Shard &s = shards_[si];
         std::lock_guard<std::mutex> lk(s.mu);
         forEachKind([&](auto kind) {
             using K = decltype(kind);
@@ -893,9 +810,11 @@ CostCache::enforceCapacity()
                 table.erase(it);
                 return freed;
             };
-            for (const auto &kv : s.*K::kTable)
+            for (const auto &kv : s.*K::kTable) {
                 cands.push_back(
                     {K::kRank, kv.second.lastUse, si, evict, kv.first});
+                snapshotBytes += kv.second.bytes;
+            }
         });
     }
     std::sort(cands.begin(), cands.end(),
@@ -904,19 +823,23 @@ CostCache::enforceCapacity()
                                           : a.lastUse < b.lastUse;
               });
 
+    // Batch target: 7/8 of the bound, so inserts between batches
+    // amortize the O(entries) candidate scan above.
+    const std::uint64_t mb = maxBytes_.load(std::memory_order_relaxed);
+    const std::uint64_t target = mb - mb / 8;
     for (const Cand &c : cands) {
-        if (!overTarget())
+        if (snapshotBytes <= target)
             break;
-        Shard &s = *shards_[c.shard];
+        Shard &s = shards_[c.shard];
         std::uint64_t freed = 0;
         {
             std::lock_guard<std::mutex> lk(s.mu);
             freed = c.evict(s, c.key, c.lastUse);
         }
         if (freed != 0) {
+            snapshotBytes -= freed;
             stats_[CounterId::residentBytes].fetch_sub(
                 freed, std::memory_order_relaxed);
-            entryCount_.fetch_sub(1, std::memory_order_relaxed);
             bumpStat(stats_, CounterId::evictions);
         }
     }
@@ -1028,8 +951,7 @@ CostCache::lookupIn(const CacheKey &key, const typename K::Check &check,
     // L1 miss: probe the mapped snapshot (no locks held — the
     // shared_ptr keeps the image alive). A shared hit counts as a
     // hit AND a shared hit; it is NOT copied into L1, so the
-    // snapshot's pages stay shared across processes (frontier
-    // lookups still promote it into their L0).
+    // snapshot's pages stay shared across processes.
     if (std::shared_ptr<const SharedSnapshot> snap =
             sharedSnapshot()) {
         if (snap->image().lookup<K>(key, check, out)) {
@@ -1063,7 +985,6 @@ CostCache::insertIn(const CacheKey &key, const typename K::Value &val)
     if (created) {
         bumpStat(stats_, K::kInserts);
         stats_.add(CounterId::residentBytes, bytes);
-        entryCount_.fetch_add(1, std::memory_order_relaxed);
         if (overCapacity())
             enforceCapacity();
     }
@@ -1074,45 +995,27 @@ std::size_t
 CostCache::countIn() const
 {
     std::size_t n = 0;
-    for (const auto &s : shards_) {
-        std::lock_guard<std::mutex> lk(s->mu);
-        n += ((*s).*K::kTable).size();
+    for (const Shard &s : shards_) {
+        std::lock_guard<std::mutex> lk(s.mu);
+        n += (s.*K::kTable).size();
     }
     return n;
 }
 
 bool
-CostCache::lookupFrontierFast(const CacheKey &key,
-                              std::vector<FrontierPoint> *out)
+CostCache::lookupFrontier(const CacheKey &key,
+                          std::vector<FrontierPoint> *out)
 {
-    const std::uint64_t epoch = epoch_.load(std::memory_order_relaxed);
-    L0Slot &slot = l0SlotFor(key);
-    if (slot.used && slot.owner == id_ && slot.epoch == epoch &&
-        slot.key == key) {
-        bumpStat(stats_, CounterId::l0Hits);
-        bumpStat(stats_, CounterId::frontHits);
-        *out = slot.val;
-        return true;
-    }
-    bumpStat(stats_, CounterId::l0Misses);
-    if (!lookupIn<FrontierKind>(key, NoCheck{}, out)) {
-        bumpStat(stats_, CounterId::frontMisses);
-        return false;
-    }
-    bumpStat(stats_, CounterId::frontHits);
-    // Promote the L1 (or shared-tier) hit so this worker's next
-    // lookup is lock-free.
-    slot.fill(id_, epoch, key, *out);
-    return true;
+    const bool hit = lookupIn<FrontierKind>(key, NoCheck{}, out);
+    bumpStat(stats_, hit ? CounterId::frontHits : CounterId::frontMisses);
+    return hit;
 }
 
 void
-CostCache::insertFrontierFast(const CacheKey &key,
-                              const std::vector<FrontierPoint> &points)
+CostCache::insertFrontier(const CacheKey &key,
+                          const std::vector<FrontierPoint> &points)
 {
     insertIn<FrontierKind>(key, points);
-    l0SlotFor(key).fill(id_, epoch_.load(std::memory_order_relaxed),
-                        key, points);
 }
 
 bool
@@ -1271,15 +1174,26 @@ CostCache::save(const std::string &path) const
     // Snapshot under the shard locks first so the header counts are
     // exact even if writers race the save.
     std::tuple<Records<FrontierKind>, Records<SegmentKind>> recs;
-    for (const auto &s : shards_) {
-        std::lock_guard<std::mutex> lk(s->mu);
+    for (const Shard &s : shards_) {
+        std::lock_guard<std::mutex> lk(s.mu);
         forEachKind([&](auto kind) {
             using K = decltype(kind);
-            for (const auto &kv : (*s).*K::kTable)
+            for (const auto &kv : s.*K::kTable)
                 std::get<K::kRank>(recs).emplace_back(kv.first,
                                                       kv.second.val);
         });
     }
+    // Sort each kind by key words: the bytes then depend only on the
+    // entry set, not on the insert order hash-table iteration shows,
+    // so an unchanged set republishes under the same generation.
+    forEachKind([&](auto kind) {
+        using K = decltype(kind);
+        Records<K> &r = std::get<K::kRank>(recs);
+        std::sort(r.begin(), r.end(),
+                  [](const auto &a, const auto &b) {
+                      return a.first.words < b.first.words;
+                  });
+    });
 
     // Serialize the whole mmap-able image in memory: header, one
     // (slot table, fixed-stride entry array) pair per kind, then the
@@ -1455,22 +1369,17 @@ CostCache::loadOrQuarantine(const std::string &path)
 void
 CostCache::clear()
 {
-    for (auto &s : shards_) {
-        std::lock_guard<std::mutex> lk(s->mu);
+    for (Shard &s : shards_) {
+        std::lock_guard<std::mutex> lk(s.mu);
         forEachKind([&](auto kind) {
             using K = decltype(kind);
-            ((*s).*K::kTable).clear();
+            (s.*K::kTable).clear();
         });
     }
-    // Invalidate every thread's L0 entries for this cache: slots are
-    // tagged with the epoch at fill time, so bumping it turns them
-    // all into misses without touching other threads' storage. The
-    // shared snapshot (if attached) stays mapped — it is read-only
-    // state owned by the publisher, not by this process.
-    epoch_.fetch_add(1, std::memory_order_relaxed);
-    entryCount_.store(0);
-    // Zero every counter and the resident footprint; the mapped
-    // generation survives with the snapshot.
+    // Zero every counter and the resident footprint. The shared
+    // snapshot (if attached) stays mapped — it is read-only state
+    // owned by the publisher, not by this process — and its
+    // generation survives with it.
     CacheCounters::visit([&](CounterId c) {
         if (c != CounterId::generation)
             stats_[c].store(0);

@@ -8,8 +8,7 @@
  *    keyed on (hardware, layer shape, K) at every K including 1: a
  *    hit skips the entire mapping sweep of that layer. Repeated layer
  *    shapes — e.g. ResNet50's repeated bottleneck blocks or the
- *    per-head attention GEMMs — are swept once. A thread-local L0
- *    sits in front of the sharded table.
+ *    per-head attention GEMMs — are swept once.
  *  - **segment** entries (hardware + per-stage layer/slice identity ->
  *    resolved stage mappings + pipelined cost) memoize the
  *    segmentation search the same way.
@@ -19,17 +18,17 @@
  *
  * Production-scale behaviors (format v6):
  *  - **Bounded memory** — setCapacity() bounds the sharded (L1)
- *    tier by resident bytes and/or entry count; inserts past the
- *    bound trigger epoch-batched, cost-aware LRU eviction
- *    (frontiers first, then segments — LRU order within each
- *    kind), with exact evictions/residentBytes counters.
+ *    tier by resident bytes; inserts past the bound trigger
+ *    snapshot-batched, cost-aware LRU eviction (frontiers first,
+ *    then segments — LRU order within each kind), with exact
+ *    evictions/residentBytes counters.
  *  - **Shared read-mostly tier** — the persistent file is an
  *    mmap-able, offset-based, CRC-covered snapshot holding
  *    open-addressed hash tables, so N processes attachShared() the
- *    same published file and probe it copy-free after an L0+L1
- *    miss. A writer republishes via the tmp+fsync+rename discipline
- *    with a monotonic generation stamp; refreshShared() atomically
- *    remaps when the generation changes.
+ *    same published file and probe it copy-free after an L1 miss.
+ *    A writer republishes via the tmp+fsync+rename discipline with
+ *    a monotonic generation stamp; refreshShared() atomically remaps
+ *    when the generation changes.
  *
  * Layer *names* and repeat counts are deliberately excluded from the
  * keys: two layers with identical shapes hit the same entry even
@@ -155,47 +154,36 @@ enum class CacheLoadStatus
 class SharedSnapshot;
 
 /**
- * Sharded, thread-safe memo table with a thread-local frontier L0 in
- * front and an optional mmap'd read-mostly snapshot behind, holding
- * frontier (key -> point list) and segment entries.
+ * Sharded, thread-safe memo table with an optional mmap'd read-mostly
+ * snapshot behind it, holding frontier (key -> point list) and
+ * segment entries.
  *
- * Three levels:
- *  - **L0** — a fixed-size, direct-mapped frontier table in
- *    thread-local storage. The common per-worker re-lookup takes zero
- *    locks: one hash index, one exact key compare. Entries are tagged
- *    with the owning cache's id and clear()-epoch, so a thread
- *    serving several caches (or a cache that was cleared) can never
- *    read a stale result. A stale L0 entry surviving an L1 eviction
- *    is benign: cached values are pure functions of their keys.
- *    Segment entries have no L0.
+ * Two levels:
  *  - **L1** — the sharded mutex-protected tables (one mutex per
  *    shard, keys distributed by hash). This is the level save()
- *    serializes and setCapacity() bounds; L0 is never serialized.
+ *    serializes and setCapacity() bounds.
  *  - **Shared** — an optional read-only mmap of a published v6
  *    snapshot (attachShared), probed copy-free after an L1 miss.
- *    Hits promote into L0 only — never into L1 — so the snapshot's
- *    pages stay shared across every process mapping it.
+ *    Hits are never copied into L1, so the snapshot's pages stay
+ *    shared across every process mapping it.
  *
  * Counter contract (exact under any worker count; all relaxed
- * atomics; field names of counters()): every lookupFrontierFast
- * counts exactly one of l0Hits/l0Misses; every L0 miss falls through
- * to one L1 lookup, which counts exactly one of hits/misses — so
- * hits + misses == l0Misses. frontHits == l0Hits + hits and
- * frontMisses == misses count the same lookups at any level. A
- * shared-tier hit counts in BOTH hits and sharedFrontHits
- * (attribution, not a new denominator); misses therefore still means
- * "missed every tier". Segment lookups count segHits/segMisses, and a
- * shared segment hit also sharedSegHits. frontInserts and segInserts
- * count entries actually created (losing racers of a duplicate
- * insert are not counted), so frontInserts + segInserts -
- * evictions == size() on a cache that was never cleared.
+ * atomics; field names of counters()): every lookupFrontier counts
+ * exactly one of hits/misses and, for the same lookup, one of
+ * frontHits/frontMisses — so frontHits == hits and frontMisses ==
+ * misses. l0Hits/l0Misses always read 0; they stay only because
+ * perfbench reads them. A shared-tier hit counts in BOTH hits and
+ * sharedFrontHits (attribution, not a new denominator); misses
+ * therefore still means "missed every tier". Segment lookups count
+ * segHits/segMisses, and a shared segment hit also sharedSegHits.
+ * frontInserts and segInserts count entries actually created (losing
+ * racers of a duplicate insert are not counted), so frontInserts +
+ * segInserts - evictions == size() on a cache that was never
+ * cleared.
  */
 class CostCache
 {
   public:
-    explicit CostCache(int shards = 16);
-    ~CostCache();
-
     /**
      * @name Bounded L1 (eviction)
      * @{
@@ -204,35 +192,32 @@ class CostCache
     /**
      * Bound the sharded tier: `maxBytes` caps the total serialized
      * footprint (the exact bytes save() would write per entry, key
-     * included), `maxEntries` caps the entry count across both
-     * kinds; 0 = unbounded (the default). An insert that exceeds a
-     * bound triggers one epoch-batched eviction: entries are ranked
-     * (kind priority, last use) — frontiers evicted first, then
-     * segments, LRU within each kind — and evicted until the tier is
-     * back under 7/8 of each bound, so inserts amortize to O(1)
-     * between batches. Rationale: a frontier entry reconstructs from
-     * one per-layer sweep, a segment record from whole per-stage
-     * searches.
+     * included); 0 = unbounded (the default). An insert that exceeds
+     * the bound triggers one snapshot-batched eviction: the resident
+     * entries are snapshotted and ranked (kind priority, last use) —
+     * frontiers evicted first, then segments, LRU within each kind —
+     * and evicted until the snapshot is back under 7/8 of the bound,
+     * so inserts amortize to O(1) between batches. Rationale: a
+     * frontier entry reconstructs from one per-layer sweep, a segment
+     * record from whole per-stage searches. Batches run one at a
+     * time, and an insert that races a batch runs its own after it,
+     * so once every insert has returned residentBytes() <= maxBytes.
      */
-    void setCapacity(std::uint64_t maxBytes,
-                     std::uint64_t maxEntries);
+    void setCapacity(std::uint64_t maxBytes);
 
     /** @} */
 
     /** @name Frontier entries (keys from makeFrontierKey) @{ */
 
-    /**
-     * Frontier lookup: thread-local L0 first (no locks), then the
-     * sharded table and the shared tier (promoting a hit into L0).
-     * L1 recency stamps are only refreshed on L0 misses.
-     */
-    bool lookupFrontierFast(const CacheKey &key,
-                            std::vector<FrontierPoint> *out);
+    /** Frontier lookup: the sharded table (refreshing the entry's
+     *  recency stamp on a hit), then the shared tier. */
+    bool lookupFrontier(const CacheKey &key,
+                        std::vector<FrontierPoint> *out);
 
     /** Insert a frontier (first writer wins; duplicates are identical
-     *  anyway) and fill the caller's L0 slot. */
-    void insertFrontierFast(const CacheKey &key,
-                            const std::vector<FrontierPoint> &points);
+     *  anyway). */
+    void insertFrontier(const CacheKey &key,
+                        const std::vector<FrontierPoint> &points);
 
     /** @} */
 
@@ -312,7 +297,9 @@ class CostCache
      * published form of the shared tier)
      *
      * Versioned binary serialization of every frontier and segment
-     * entry. The file header carries a magic word, a format
+     * entry, each kind's entries sorted by key words so the bytes
+     * depend only on the entry set, not on insert order. The file
+     * header carries a magic word, a format
      * version, and a schema hash over the serialized field layout,
      * so a file written by an older build — different version OR
      * different schema — is *rejected* (cold start), never misread.
@@ -386,7 +373,7 @@ class CostCache
 
     struct Shard
     {
-        std::mutex mu;
+        mutable std::mutex mu;
         std::unordered_map<CacheKey, Entry<std::vector<FrontierPoint>>,
                            CacheKeyHash>
             fronts;
@@ -394,6 +381,8 @@ class CostCache
                            CacheKeyHash>
             segs;
     };
+
+    static constexpr std::size_t kShards = 16;
 
     Shard &shardFor(const CacheKey &key);
 
@@ -426,7 +415,7 @@ class CostCache
     }
 
     bool overCapacity() const;
-    /** One epoch-batched eviction pass (serialized on evictMu_). */
+    /** One snapshot-batched eviction pass (serialized on evictMu_). */
     void enforceCapacity();
 
     /** Mutex-protected copy of the current snapshot pointer (null
@@ -436,19 +425,14 @@ class CostCache
      *  from the mapped one. Returns true on a fresh map. */
     bool mapShared(bool countRemap);
 
-    std::vector<std::unique_ptr<Shard>> shards_;
-    /** Process-unique instance id tagged into L0 slots. */
-    std::uint64_t id_;
-    /** Bumped by clear() so stale L0 entries die everywhere. */
-    std::atomic<std::uint64_t> epoch_{0};
+    std::array<Shard, kShards> shards_;
     std::atomic<std::uint64_t> tick_{0};
 
-    /** Capacity bounds (0 = unbounded) and exact usage gauges. */
+    /** Byte bound (0 = unbounded). */
     std::atomic<std::uint64_t> maxBytes_{0};
-    std::atomic<std::uint64_t> maxEntries_{0};
-    std::atomic<std::uint64_t> entryCount_{0};
     /** Serializes eviction batches (inserts from other threads
-     *  proceed concurrently; they just can't start a second batch). */
+     *  proceed concurrently; one that overflows the bound waits here
+     *  to run its own batch). */
     std::mutex evictMu_;
 
     /** Shared-tier state: the snapshot pointer swaps under

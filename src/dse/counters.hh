@@ -29,15 +29,15 @@
 
 #define LEGO_DSE_COUNTERS(X, set)                                           \
     X(set, Cache, hits, Window, "dse.cache.l1_hits",                        \
-      "frontier lookups answered past L0, by L1 or the shared tier")        \
+      "frontier lookups answered by L1 or the shared tier")                 \
     X(set, Cache, misses, Window, "dse.cache.l1_misses",                    \
       "frontier lookups that missed every tier")                            \
     X(set, Cache, l0Hits, Window, "dse.cache.l0_hits",                      \
-      "frontier lookups answered by the thread-local L0")                   \
+      "always 0: the cache has no L0 tier; kept for perfbench to read")     \
     X(set, Cache, l0Misses, Window, "dse.cache.l0_misses",                  \
-      "frontier L0 misses, each falling through to one L1 lookup")          \
+      "always 0: the cache has no L0 tier; kept for perfbench to read")     \
     X(set, Cache, frontHits, Window, "dse.cache.front_hits",                \
-      "frontier lookups answered at any level, l0Hits + hits")              \
+      "frontier lookups answered at any level, = hits")                     \
     X(set, Cache, frontMisses, Window, "dse.cache.front_misses",            \
       "frontier lookups that fell through to a full sweep, = misses")       \
     X(set, Cache, frontInserts, Global, "dse.cache.front_inserts",          \

@@ -18,8 +18,7 @@ DseEngine::DseEngine(DseOptions opt)
     // Capacity first, so even the warm-start load below respects the
     // bound (a persisted cache larger than the budget evicts down
     // during the merge instead of overshooting).
-    if (opt_.cacheMaxBytes != 0 || opt_.cacheMaxEntries != 0)
-        cache_.setCapacity(opt_.cacheMaxBytes, opt_.cacheMaxEntries);
+    cache_.setCapacity(opt_.cacheMaxBytes);
     // Warm-start from the persisted cache when one is configured; a
     // missing or stale (schema-mismatched) file is just a cold
     // start, and a CORRUPT file is quarantined to `<path>.corrupt`

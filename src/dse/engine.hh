@@ -47,13 +47,14 @@ struct DseOptions
      */
     std::string cachePath;
     /**
-     * Bounds on the in-memory (L1) cache tier, applied before the
-     * warm-start load: total serialized footprint in bytes and entry
-     * count across all record kinds; 0 = unbounded (the historical
-     * behavior). See CostCache::setCapacity for the eviction policy.
+     * Bound on the in-memory (L1) cache tier, applied before the
+     * warm-start load: total serialized footprint in bytes across all
+     * record kinds; 0 = unbounded (the historical behavior). It bounds
+     * every cached frontier and segment the process holds apart from
+     * the mapped shared snapshot. See CostCache::setCapacity for the
+     * eviction policy.
      */
     std::uint64_t cacheMaxBytes = 0;
-    std::uint64_t cacheMaxEntries = 0;
     /**
      * Optional published shared-cache snapshot to attach as the
      * read-mostly mmap tier (CostCache::attachShared). Independent

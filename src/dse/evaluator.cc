@@ -274,7 +274,7 @@ Evaluator::searchMappingFrontier(const HardwareConfig &hw,
     if (memo) {
         fkey = makeFrontierKey(hw, l, cap);
         std::vector<FrontierPoint> pts;
-        if (cache_->lookupFrontierFast(fkey, &pts)) {
+        if (cache_->lookupFrontier(fkey, &pts)) {
             MappingFrontier front(cap);
             for (const FrontierPoint &p : pts)
                 front.insert(p);
@@ -288,7 +288,7 @@ Evaluator::searchMappingFrontier(const HardwareConfig &hw,
     // deadline-free requests (shouldStop is monotonic, so any sweep
     // that truncated still reads as tripped here).
     if (memo && !(cancel && cancel->shouldStop()))
-        cache_->insertFrontierFast(fkey, front.points());
+        cache_->insertFrontier(fkey, front.points());
     return front;
 }
 

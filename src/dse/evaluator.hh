@@ -25,10 +25,9 @@
  *  - spatialEfficiency is computed once per (hw, layer, dataflow)
  *    and shared by every tiling candidate of that dataflow;
  *  - whole frontiers are memoized per (hw, layer, K), at every K, in
- *    an optional CostCache — a three-level lookup: thread-local L0,
- *    the bounded sharded L1 (LRU-evicted past its setCapacity
- *    budget), then the optional mmap'd shared snapshot tier probed
- *    copy-free. Single tilings are never memoized: runLayerWithEff
+ *    an optional CostCache — a two-level lookup: the bounded sharded
+ *    L1 (LRU-evicted past its setCapacity budget), then the optional
+ *    mmap'd shared snapshot tier probed copy-free. Single tilings are never memoized: runLayerWithEff
  *    is closed-form and cheaper to recompute than to look up.
  *
  * All optimizations preserve the exact result of the naive sweep:

@@ -55,15 +55,6 @@ ParetoArchive::bestEnergy() const
 }
 
 const DsePoint *
-ParetoArchive::bestArea() const
-{
-    return extreme(points(), [](const DsePoint &a, const DsePoint &b) {
-        return a.areaMm2 != b.areaMm2 ? a.areaMm2 < b.areaMm2
-                                      : a.id < b.id;
-    });
-}
-
-const DsePoint *
 ParetoArchive::bestUnderLatency(double latencyBound,
                                 int objective) const
 {

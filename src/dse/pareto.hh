@@ -209,7 +209,6 @@ class ParetoArchive : public ParetoFront<DsePoint, DsePointTraits>
     /** @name Extreme points (null when empty). @{ */
     const DsePoint *bestLatency() const;
     const DsePoint *bestEnergy() const;
-    const DsePoint *bestArea() const;
     /** @} */
 
     /**

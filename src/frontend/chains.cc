@@ -29,30 +29,6 @@ PortPlan::allDataNodes() const
     return std::vector<int>(s.begin(), s.end());
 }
 
-int
-PortPlan::muxCount(int num_fus) const
-{
-    // A MUX is needed wherever an FU operand has more than one
-    // distinct source (FU edges and/or memory) across configs.
-    std::vector<std::set<int>> sources{size_t(num_fus)};
-    for (const auto &cfg_links : links) {
-        for (size_t fu = 0; fu < cfg_links.size(); fu++) {
-            const FuLink &l = cfg_links[fu];
-            if (isOutput)
-                continue; // Output muxing is on the commit side.
-            if (l.kind == FuLink::Kind::Memory)
-                sources[fu].insert(-1);
-            else
-                sources[fu].insert(l.peer);
-        }
-    }
-    int count = 0;
-    for (const auto &s : sources)
-        if (s.size() > 1)
-            count++;
-    return count;
-}
-
 namespace
 {
 

@@ -79,9 +79,6 @@ struct PortPlan
 
     /** Union of data-node FUs over all configs. */
     std::vector<int> allDataNodes() const;
-
-    /** Number of FU inputs needing a MUX (>1 distinct source). */
-    int muxCount(int num_fus) const;
 };
 
 /** Planner options. */

@@ -84,16 +84,4 @@ findReuseSolutions(const Workload &w, int tensor,
     return out;
 }
 
-std::vector<ReuseSolution>
-findAllReuseSolutions(const Workload &w, const DataflowMapping &map,
-                      const ReuseSearchOptions &opt)
-{
-    std::vector<ReuseSolution> out;
-    for (size_t t = 0; t < w.tensors.size(); t++) {
-        auto sols = findReuseSolutions(w, int(t), map, opt);
-        out.insert(out.end(), sols.begin(), sols.end());
-    }
-    return out;
-}
-
 } // namespace lego

@@ -62,11 +62,6 @@ findReuseSolutions(const Workload &w, int tensor,
                    const DataflowMapping &map,
                    const ReuseSearchOptions &opt = {});
 
-/** Convenience: solutions for all tensors of the workload. */
-std::vector<ReuseSolution>
-findAllReuseSolutions(const Workload &w, const DataflowMapping &map,
-                      const ReuseSearchOptions &opt = {});
-
 } // namespace lego
 
 #endif // LEGO_FRONTEND_INTERCONNECT_HH

@@ -18,31 +18,6 @@ TensorBanking::bankOf(const IntVec &d) const
     return b;
 }
 
-Int
-TensorBanking::addrOf(const IntVec &d, const IntVec &shape) const
-{
-    // Within-bank locals: strip the bank digit out of each dim.
-    // local_i = (d_i/g_i)/B_i * g_i + (d_i mod g_i), with extent
-    // ceil(shape_i/(g_i B_i)) * g_i.
-    Int addr = 0;
-    for (size_t i = 0; i < d.size(); i++) {
-        Int g = gcds[i], b = banks[i];
-        Int local = (d[i] / g) / b * g + (d[i] % g);
-        Int extent = ceilDiv(shape[i], g * b) * g;
-        addr = addr * extent + local;
-    }
-    return addr;
-}
-
-Int
-TensorBanking::bankCapacity(const IntVec &shape) const
-{
-    Int cap = 1;
-    for (size_t i = 0; i < shape.size(); i++)
-        cap *= ceilDiv(shape[i], gcds[i] * banks[i]) * gcds[i];
-    return cap;
-}
-
 TensorBanking
 analyzeBanking(const Workload &w, int tensor, const DataflowMapping &map,
                const std::vector<int> &dataNodes)

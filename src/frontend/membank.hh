@@ -37,12 +37,6 @@ struct TensorBanking
 
     /** Linear bank index of tensor element d. */
     Int bankOf(const IntVec &d) const;
-
-    /** Address of element d inside its bank (row-major locals). */
-    Int addrOf(const IntVec &d, const IntVec &shape) const;
-
-    /** Words needed per bank for a tensor of the given shape. */
-    Int bankCapacity(const IntVec &shape) const;
 };
 
 /**

@@ -44,12 +44,6 @@ MinCostFlow::setSupply(int node, Int supply)
     supply_.at(size_t(node)) = supply;
 }
 
-void
-MinCostFlow::addSupply(int node, Int delta)
-{
-    supply_.at(size_t(node)) += delta;
-}
-
 Int
 MinCostFlow::flowOn(int arc_id) const
 {

@@ -52,7 +52,6 @@ class MinCostFlow
 
     /** Positive = source (must ship out), negative = sink. */
     void setSupply(int node, Int supply);
-    void addSupply(int node, Int delta);
 
     /**
      * Solve. Returns false when the supplies cannot be routed.

@@ -119,16 +119,6 @@ Model::totalMacs() const
     return macs;
 }
 
-Int
-Model::totalPpuElems() const
-{
-    Int e = 0;
-    for (const Layer &l : layers)
-        if (!l.isTensorOp())
-            e += Int(l.repeat) * l.elems;
-    return e;
-}
-
 Layer
 conv(const std::string &name, Int ic, Int oc, Int ohw, Int khw,
      Int stride, int repeat)

@@ -76,7 +76,6 @@ struct Model
     Int totalMacs() const;
     /** Total ops = 2 * MACs (the GOP/s denominators in the paper). */
     Int totalOps() const { return 2 * totalMacs(); }
-    Int totalPpuElems() const;
 };
 
 /** @name Layer construction helpers. @{ */

@@ -51,7 +51,6 @@ struct HardwareConfig
      */
     bool naiveFusion = false;
 
-    int fusPerCluster() const { return rows * cols; }
     int totalFus() const { return rows * cols * l2X * l2Y; }
     double peakGops() const
     {

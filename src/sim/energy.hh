@@ -32,11 +32,6 @@ struct RunSummary
         double s = seconds(freq_ghz);
         return s > 0 ? 2.0 * double(totalMacs) / s / 1e9 : 0;
     }
-    double gopsPerWatt() const
-    {
-        double joules = totalEnergyPj * 1e-12;
-        return joules > 0 ? 2.0 * double(totalMacs) / joules / 1e9 : 0;
-    }
     double utilization(double peak_gops, double freq_ghz) const
     {
         return peak_gops > 0 ? gops(freq_ghz) / peak_gops : 0;

@@ -86,23 +86,12 @@ syntheticFrontier(std::uint64_t n)
     return {p};
 }
 
-/** Run `f` on a new thread. L0 is thread-local, so a fresh thread's
- *  lookups all reach L1: they refresh its recency stamps, and they
- *  cannot be answered by an L0 copy of an entry L1 evicted. */
-template <class F>
-void
-onFreshThread(F &&f)
-{
-    std::thread t(std::forward<F>(f));
-    t.join();
-}
-
 TEST(CacheEviction, EntryExactlyAtCapacityIsNotEvicted)
 {
     CostCache cache;
-    cache.setCapacity(kFrontierBytes * 4, 0);
+    cache.setCapacity(kFrontierBytes * 4);
     for (std::uint64_t i = 0; i < 4; ++i)
-        cache.insertFrontierFast(syntheticKey(i), syntheticFrontier(i));
+        cache.insertFrontier(syntheticKey(i), syntheticFrontier(i));
     // Exactly AT the byte bound: the contract is "evict past", not
     // "evict at" — a capacity equal to the working set must hold it.
     EXPECT_EQ(cache.residentBytes(), kFrontierBytes * 4);
@@ -110,7 +99,7 @@ TEST(CacheEviction, EntryExactlyAtCapacityIsNotEvicted)
     EXPECT_EQ(cache.size(), 4u);
 
     // One entry beyond trips a batch: down to <= 7/8 of the bound.
-    cache.insertFrontierFast(syntheticKey(4), syntheticFrontier(4));
+    cache.insertFrontier(syntheticKey(4), syntheticFrontier(4));
     EXPECT_GT(cache.counters().evictions, 0u);
     EXPECT_LE(cache.residentBytes(),
               kFrontierBytes * 4 - (kFrontierBytes * 4) / 8);
@@ -122,35 +111,28 @@ TEST(CacheEviction, LruOrderRespectsLookupRecency)
 {
     CostCache cache;
     for (std::uint64_t i = 0; i < 8; ++i)
-        cache.insertFrontierFast(syntheticKey(i), syntheticFrontier(i));
-    // Refresh 0..3 from a fresh thread — recency is an L1 property
-    // (L0 hits deliberately don't touch L1 stamps), and this thread's
-    // L0 holds every entry it inserted.
+        cache.insertFrontier(syntheticKey(i), syntheticFrontier(i));
+    // Lookups refresh 0..3's recency stamps.
     std::vector<dse::FrontierPoint> out;
-    onFreshThread([&] {
-        for (std::uint64_t i = 0; i < 4; ++i)
-            ASSERT_TRUE(cache.lookupFrontierFast(syntheticKey(i), &out));
-    });
+    for (std::uint64_t i = 0; i < 4; ++i)
+        ASSERT_TRUE(cache.lookupFrontier(syntheticKey(i), &out));
 
-    // Bound to 5 entries: the batch evicts down to 7/8 * 5 = 5, so
-    // exactly the 3 least-recently-used (4, 5, 6) go.
-    cache.setCapacity(0, 5);
+    // Bound to 6 entries: the batch evicts down to 7/8 * 6 = 5.25
+    // entries' bytes, so exactly the 3 least-recently-used (4, 5, 6)
+    // go.
+    cache.setCapacity(kFrontierBytes * 6);
     EXPECT_EQ(cache.counters().evictions, 3u);
     EXPECT_EQ(cache.size(), 5u);
-    onFreshThread([&] {
-        for (std::uint64_t i : {4ull, 5ull, 6ull})
-            EXPECT_FALSE(cache.lookupFrontierFast(syntheticKey(i), &out))
-                << i;
-        for (std::uint64_t i : {0ull, 1ull, 2ull, 3ull, 7ull})
-            EXPECT_TRUE(cache.lookupFrontierFast(syntheticKey(i), &out))
-                << i;
-    });
+    for (std::uint64_t i : {4ull, 5ull, 6ull})
+        EXPECT_FALSE(cache.lookupFrontier(syntheticKey(i), &out)) << i;
+    for (std::uint64_t i : {0ull, 1ull, 2ull, 3ull, 7ull})
+        EXPECT_TRUE(cache.lookupFrontier(syntheticKey(i), &out)) << i;
 }
 
 TEST(CacheEviction, CountersStayExactUnderTwoThreadInterleaving)
 {
     CostCache cache;
-    cache.setCapacity(kFrontierBytes * 64, 0);
+    cache.setCapacity(kFrontierBytes * 64);
     // Two threads interleave disjoint lookup/insert traffic far past
     // capacity; whatever the interleaving, the accounting identities
     // must hold exactly afterwards.
@@ -158,10 +140,10 @@ TEST(CacheEviction, CountersStayExactUnderTwoThreadInterleaving)
         std::vector<dse::FrontierPoint> out;
         for (std::uint64_t i = 0; i < 600; ++i) {
             const CacheKey k = syntheticKey(base + i);
-            if (!cache.lookupFrontierFast(k, &out))
-                cache.insertFrontierFast(k, syntheticFrontier(base + i));
+            if (!cache.lookupFrontier(k, &out))
+                cache.insertFrontier(k, syntheticFrontier(base + i));
             if (i % 3 == 0)
-                cache.lookupFrontierFast(syntheticKey(base + i / 2), &out);
+                cache.lookupFrontier(syntheticKey(base + i / 2), &out);
         }
     };
     std::thread a(worker, 0), b(worker, 10000);
@@ -172,6 +154,26 @@ TEST(CacheEviction, CountersStayExactUnderTwoThreadInterleaving)
     EXPECT_EQ(c.frontInserts + c.segInserts - c.evictions, cache.size());
     EXPECT_EQ(cache.residentBytes(), cache.size() * kFrontierBytes);
     EXPECT_LE(cache.residentBytes(), kFrontierBytes * 64);
+}
+
+TEST(CacheEviction, ByteBoundHoldsAfterConcurrentExplores)
+{
+    // Four workers insert while eviction batches run. An insert that
+    // lands mid-batch must still be evicted for, and a batch must not
+    // count racers' bytes as its own: every cold explore ends within
+    // the bound.
+    const Model m = makeLeNet();
+    const dse::CandidateSpace space = dse::eyerissEquivalentSpace();
+    constexpr std::uint64_t kCap = kFrontierBytes * 64; // 23,040 B.
+    for (int run = 0; run < 200; ++run) {
+        dse::DseOptions opt;
+        opt.threads = 4;
+        opt.cacheMaxBytes = kCap;
+        dse::DseEngine engine(opt);
+        engine.explore(space, m);
+        ASSERT_GT(engine.cache().counters().evictions, 0u) << run;
+        ASSERT_LE(engine.cache().residentBytes(), kCap) << run;
+    }
 }
 
 TEST(CacheEviction, WarmFrontierHitRateSurvivesBoundedReplay)
@@ -198,14 +200,11 @@ TEST(CacheEviction, WarmFrontierHitRateSurvivesBoundedReplay)
                 out.push_back(ev.mapModelFrontier(hw, *m, 4));
             return out;
         };
-        // Warm replays run on a FRESH thread: L0 is thread-local, so
-        // the calling thread's L0 would answer them and the bounded
-        // L1 under test would never be read. Returns the replay's
-        // frontier hit rate.
+        // Returns the warm replay's frontier hit rate.
         auto warmReplay = [&](CostCache &cache, dse::Evaluator &ev,
                               Fronts *warm) {
             const CacheCounters before = cache.counters();
-            onFreshThread([&] { *warm = replay(ev); });
+            *warm = replay(ev);
             const CacheCounters d = cache.counters() - before;
             EXPECT_GT(d.frontHits + d.frontMisses, 0u);
             return double(d.frontHits) /
@@ -231,7 +230,7 @@ TEST(CacheEviction, WarmFrontierHitRateSurvivesBoundedReplay)
         ASSERT_LE(full, kHitRateCapBytes);
         for (std::uint64_t cap : {full, kHitRateCapBytes}) {
             CostCache bounded;
-            bounded.setCapacity(cap, 0);
+            bounded.setCapacity(cap);
             dse::Evaluator ev(&bounded);
             replay(ev);
             const double rate = warmReplay(bounded, ev, &warm);
@@ -245,7 +244,7 @@ TEST(CacheEviction, WarmFrontierHitRateSurvivesBoundedReplay)
         // evictions cost in re-sweeps, every answer equals the
         // unbounded one.
         CostCache bounded;
-        bounded.setCapacity(full / 2, 0);
+        bounded.setCapacity(full / 2);
         dse::Evaluator ev(&bounded);
         replay(ev); // Cold: fills + evicts.
         EXPECT_GT(bounded.counters().evictions, 0u);
@@ -350,23 +349,20 @@ goldenResult(std::uint64_t n)
 
 /**
  * Deterministic fill with both record kinds: five frontiers of one to
- * three points, a 2-stage and a 3-stage segment. Keys are chosen so
- * no shard holds two entries of one kind: loadEx re-inserts
- * in file order and an unordered_map's in-bucket order depends on
- * insertion order, so only then does load -> save round-trip the
- * bytes exactly.
+ * three points, a 2-stage and a 3-stage segment. Keys whose hash
+ * mod 16 repeats one of their kind are skipped: that is the record
+ * set the fixture was recorded with.
  */
 GoldenKeys
 fillGolden(CostCache *cache)
 {
-    constexpr std::uint64_t kShards = 16; // CostCache's default.
     HardwareConfig hw;
     const Model m = makeLeNet();
     GoldenKeys keys;
     auto distinctShard = [&](const std::vector<CacheKey> &taken,
                              const CacheKey &k) {
         for (const CacheKey &t : taken)
-            if (t.hashValue % kShards == k.hashValue % kShards)
+            if (t.hashValue % 16 == k.hashValue % 16)
                 return false;
         return true;
     };
@@ -385,7 +381,7 @@ fillGolden(CostCache *cache)
             pts[p].result = goldenResult(10 * keys.fronts.size() + p);
             pts[p].seq = 7 * p + keys.fronts.size();
         }
-        cache->insertFrontierFast(k, pts);
+        cache->insertFrontier(k, pts);
         keys.fronts.push_back(k);
     }
     for (std::size_t stages : {2u, 3u}) {
@@ -479,8 +475,8 @@ TEST(CacheCompat, V6GoldenImageRoundTripsByteForByte)
     ASSERT_TRUE(mapped.attachShared(fixture));
     for (const CacheKey &k : keys.fronts) {
         std::vector<dse::FrontierPoint> a, b;
-        ASSERT_TRUE(loaded.lookupFrontierFast(k, &a));
-        ASSERT_TRUE(mapped.lookupFrontierFast(k, &b));
+        ASSERT_TRUE(loaded.lookupFrontier(k, &a));
+        ASSERT_TRUE(mapped.lookupFrontier(k, &b));
         ASSERT_EQ(a.size(), b.size());
         ASSERT_GE(a.size(), 1u);
         for (std::size_t p = 0; p < a.size(); ++p) {
@@ -516,6 +512,32 @@ TEST(CacheCompat, V6GoldenImageRoundTripsByteForByte)
     EXPECT_EQ(mapped.counters().sharedSegHits, keys.segs.size());
 }
 
+TEST(CacheCompat, SavedBytesDoNotDependOnWorkerCount)
+{
+    // The same entry set, filled by one worker and by four racing
+    // ones, saves to the same bytes: save() orders entries by key,
+    // not by insert order. (An idempotent republish reuses the
+    // generation only when the bytes match.)
+    const Model m = makeLeNet();
+    const dse::CandidateSpace space = dse::eyerissEquivalentSpace();
+    const std::string path =
+        testing::TempDir() + "lego_cache_worker_order.bin";
+    auto fillAndSave = [&](int threads) {
+        dse::DseOptions opt;
+        opt.threads = threads;
+        dse::DseEngine engine(opt);
+        engine.explore(space, m);
+        std::remove(path.c_str());
+        EXPECT_TRUE(engine.cache().save(path));
+        return slurp(path);
+    };
+    const std::string serial = fillAndSave(1);
+    ASSERT_FALSE(serial.empty());
+    for (int run = 0; run < 4; ++run)
+        EXPECT_EQ(fillAndSave(4), serial) << run;
+    std::remove(path.c_str());
+}
+
 /** Writer cache with both entry kinds, saved to `path`. */
 void
 publishSnapshot(const std::string &path, CostCache *cache)
@@ -543,7 +565,7 @@ TEST(SharedCache, ReaderServesEntirelyFromMappedSnapshot)
     CostCache writer;
     publishSnapshot(path, &writer);
 
-    // Reader: empty L0/L1, warmth only through the mapped tier.
+    // Reader: empty L1, warmth only through the mapped tier.
     CostCache reader;
     ASSERT_TRUE(reader.attachShared(path));
     EXPECT_EQ(reader.sharedGeneration(), 1u);
@@ -618,7 +640,7 @@ TEST(SharedCache, GenerationChangeRemapsAtomically)
 
     // The new entries are visible through the new mapping.
     std::vector<dse::FrontierPoint> pts;
-    EXPECT_TRUE(reader.lookupFrontierFast(
+    EXPECT_TRUE(reader.lookupFrontier(
         dse::makeFrontierKey(hw, m.layers[0], 4), &pts));
     EXPECT_GT(reader.counters().sharedFrontHits, 0u);
     std::remove(path.c_str());
@@ -631,7 +653,7 @@ TEST(SharedCache, StatsContextAttributesEvictionsAndSharedHits)
     std::remove(path.c_str());
     CostCache writer;
     for (std::uint64_t i = 0; i < 8; ++i)
-        writer.insertFrontierFast(syntheticKey(i), syntheticFrontier(i));
+        writer.insertFrontier(syntheticKey(i), syntheticFrontier(i));
     ASSERT_TRUE(writer.save(path));
 
     // The per-request idiom: both the shared-tier hit and the
@@ -642,13 +664,13 @@ TEST(SharedCache, StatsContextAttributesEvictionsAndSharedHits)
     StatsContext ctx;
     StatsContext::Scope scope(&ctx);
     std::vector<dse::FrontierPoint> out;
-    ASSERT_TRUE(reader.lookupFrontierFast(syntheticKey(3), &out));
+    ASSERT_TRUE(reader.lookupFrontier(syntheticKey(3), &out));
     EXPECT_EQ(ctx.load(CounterId::sharedFrontHits), 1u);
     // Attribution, not a new denominator.
     EXPECT_EQ(ctx.load(CounterId::hits), 1u);
-    reader.setCapacity(0, 4);
+    reader.setCapacity(kFrontierBytes * 4);
     for (std::uint64_t i = 100; i < 110; ++i)
-        reader.insertFrontierFast(syntheticKey(i), syntheticFrontier(i));
+        reader.insertFrontier(syntheticKey(i), syntheticFrontier(i));
     EXPECT_GT(ctx.load(CounterId::evictions), 0u);
     EXPECT_EQ(ctx.load(CounterId::evictions),
               reader.counters().evictions);

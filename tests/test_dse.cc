@@ -14,7 +14,6 @@
 #include <cstdio>
 #include <fstream>
 #include <functional>
-#include <thread>
 
 #include "lego.hh"
 
@@ -82,10 +81,8 @@ TEST(CostCache, CachedEqualsFresh)
     MappedLayer a = cached.searchMapping(hw, l); // Fills the cache.
     MappedLayer b = cached.searchMapping(hw, l); // A frontier hit.
     MappedLayer c = fresh.searchMapping(hw, l);
-    // The repeat search runs on the same thread, so its hit lands in
-    // the thread-local L0 (the sharded level is only consulted on L0
-    // misses) and it sweeps nothing.
-    EXPECT_GT(cache.counters().l0Hits, 0u);
+    // The repeat search hits and sweeps nothing.
+    EXPECT_EQ(cache.counters().hits, 1u);
     EXPECT_EQ(cached.counters().searches, 1u);
 
     // Bit-identical across cached and fresh paths.
@@ -109,7 +106,7 @@ TEST(CostCache, CachedEqualsFresh)
     (void)unused;
     std::vector<dse::FrontierPoint> viaKey;
     ASSERT_TRUE(
-        c2.lookupFrontierFast(dse::makeFrontierKey(hw, l, 1), &viaKey));
+        c2.lookupFrontier(dse::makeFrontierKey(hw, l, 1), &viaKey));
     ASSERT_EQ(viaKey.size(), 1u);
     EXPECT_EQ(a.mapping.tm, viaKey[0].mapping.tm);
     EXPECT_EQ(direct.cycles, viaKey[0].result.cycles);
@@ -154,13 +151,14 @@ TEST(CostCache, SharedShapesHitAcrossLayers)
               r.perLayer[1].result.cycles);
 
     // With deduplication off the second twin re-issues the same
-    // keys; on one thread those are L0 hits (zero locks taken).
+    // keys, and they hit.
     dse::EvalPolicy naiveDedup;
     naiveDedup.dedupLayerClasses = false;
     CostCache cache2;
     Evaluator e2(&cache2, naiveDedup);
     ScheduleResult r2 = e2.mapModel(HardwareConfig{}, m);
-    EXPECT_GT(cache2.counters().l0Hits, 0u); // Second twin fully memoized.
+    EXPECT_GT(cache2.counters().hits, 0u); // Second twin fully memoized.
+    EXPECT_EQ(e2.counters().searches, 1u);
     EXPECT_EQ(r2.perLayer[0].result.cycles,
               r2.perLayer[1].result.cycles);
 }
@@ -468,7 +466,7 @@ TEST(Evaluator, FallbackMappingClampsToProblem)
 /**
  * Cache statistics are exact: with the naive policy every
  * (distinct-shape) layer issues exactly one frontier lookup, so the
- * L0/L1 counters are fully predictable — under 1 worker and under 8.
+ * counters are fully predictable — under 1 worker and under 8.
  */
 TEST(CostCache, CountersExactUnderWorkerCounts)
 {
@@ -486,38 +484,24 @@ TEST(CostCache, CountersExactUnderWorkerCounts)
 
         const std::uint64_t expectLookups = m.layers.size();
 
-        // Cold: every lookup misses both levels and inserts once.
+        // Cold: every lookup misses and inserts once.
         engine.mapModel(HardwareConfig{}, m);
         dse::CostCache &cache = engine.cache();
         dse::CacheCounters c = cache.counters();
-        EXPECT_EQ(c.l0Hits, 0u) << threads;
-        EXPECT_EQ(c.l0Misses, expectLookups) << threads;
         EXPECT_EQ(c.hits, 0u) << threads;
         EXPECT_EQ(c.misses, expectLookups) << threads;
         EXPECT_EQ(c.frontInserts, expectLookups) << threads;
         EXPECT_EQ(cache.size(), expectLookups) << threads;
 
-        // Warm: the same lookups all hit — split between L0 (same
-        // worker re-lookup) and L1 (first touch from a new worker),
-        // but the sum and the lack of misses/inserts are exact.
+        // Warm: the same lookups all hit; no misses or inserts.
         engine.mapModel(HardwareConfig{}, m);
         c = cache.counters();
-        EXPECT_EQ(c.l0Hits + c.hits, expectLookups) << threads;
-        EXPECT_EQ(c.l0Misses + c.l0Hits, 2 * expectLookups) << threads;
+        EXPECT_EQ(c.hits, expectLookups) << threads;
         EXPECT_EQ(c.misses, expectLookups) << threads;
         EXPECT_EQ(c.frontInserts, expectLookups) << threads;
         EXPECT_EQ(cache.size(), expectLookups) << threads;
-        if (threads == 1) {
-            // One worker: warm lookups are L0 hits except keys whose
-            // direct-mapped slot was evicted by a colliding key —
-            // those fall through and hit L1 instead (still counted
-            // exactly once, by the sum checks above).
-            EXPECT_GT(c.l0Hits, 0u);
-        }
-        // Every L1 access came from an L0 miss, and the any-level
-        // frontier counters count the same lookups.
-        EXPECT_EQ(c.hits + c.misses, c.l0Misses) << threads;
-        EXPECT_EQ(c.frontHits, c.l0Hits + c.hits) << threads;
+        // The any-level frontier counters count the same lookups.
+        EXPECT_EQ(c.frontHits, c.hits) << threads;
         EXPECT_EQ(c.frontMisses, c.misses) << threads;
     }
 }
@@ -608,39 +592,35 @@ TEST(Engine, ExploreStatsMatchGlobalCounterDeltas)
     // (hits) alike, unbounded and under an evicting capacity bound.
     Model m = makeLeNet();
     CandidateSpace space = dse::eyerissEquivalentSpace();
-    // Passes: cold, then only the space's last candidate (the last one
-    // the cold pass scored), then the whole space warm. Where eviction
-    // is exact LRU the second pass must hit on every lookup: its
-    // frontiers are the most recently used. That holds unbounded and
-    // with one worker; under a cap, four workers' racing inserts can
-    // push even the newest entries out of an eviction batch. A capped
-    // re-scan of the whole space may hit nothing (LRU evicts each
-    // entry just before a same-order scan reaches it), so only the
-    // unbounded third pass must hit.
+    // Passes: cold, then only the space's last candidate (among the
+    // last the cold pass scored), then the whole space warm. The
+    // second pass must hit on every lookup, capped or not: its
+    // frontiers are among the most recently used, and an eviction
+    // batch frees only its own snapshot's excess, oldest first. A
+    // capped re-scan of the whole space may hit nothing (LRU evicts
+    // each entry just before a same-order scan reaches it), so only
+    // the unbounded third pass must hit.
     CandidateSpace last = space;
     last.arrays = {space.arrays.back()};
     last.l1KbOptions = {space.l1KbOptions.back()};
     last.ppuOptions = {space.ppuOptions.back()};
     last.dataflowSets = {space.dataflowSets.back()};
+    // 64 single-point (K = 1) frontier entries of 360 B each.
+    constexpr std::uint64_t kCapBytes = 64 * 360;
     const std::pair<int, std::uint64_t> configs[] = {
-        {4, 0}, {4, 64}, {1, 64}};
-    for (const auto &[threads, maxEntries] : configs) {
+        {4, 0}, {4, kCapBytes}, {1, kCapBytes}};
+    for (const auto &[threads, maxBytes] : configs) {
         SCOPED_TRACE(testing::Message() << threads << " workers, cap "
-                                        << maxEntries);
+                                        << maxBytes << " B");
         DseOptions opt;
         opt.threads = threads;
-        opt.cacheMaxEntries = maxEntries;
+        opt.cacheMaxBytes = maxBytes;
         DseEngine engine(opt);
-        const bool exactLru = threads == 1 || maxEntries == 0;
         int pass = 0;
         for (const CandidateSpace *s : {&space, &last, &space}) {
             const dse::CacheCounters c0 = engine.cache().counters();
             const dse::EvalCounters e0 = engine.evaluator().counters();
-            // On a fresh thread: L0 is thread-local, and one worker
-            // explores inline on the caller, whose L0 would otherwise
-            // answer the second pass instead of the bounded L1.
-            DseResult r;
-            std::thread([&] { r = engine.explore(*s, m); }).join();
+            const DseResult r = engine.explore(*s, m);
             const dse::CacheCounters dc =
                 engine.cache().counters() - c0;
             const dse::EvalCounters de =
@@ -656,19 +636,17 @@ TEST(Engine, ExploreStatsMatchGlobalCounterDeltas)
                     << row.metric << " pass " << pass;
             }
             if (pass == 1) {
-                if (exactLru) {
-                    EXPECT_GT(r.stats.l0Hits + r.stats.hits, 0u);
-                    EXPECT_EQ(r.stats.misses, 0u);
-                    EXPECT_EQ(r.stats.modelEvals, 0u);
-                }
+                EXPECT_GT(r.stats.hits, 0u);
+                EXPECT_EQ(r.stats.misses, 0u);
+                EXPECT_EQ(r.stats.modelEvals, 0u);
             } else {
-                EXPECT_GT(r.stats.l0Misses, 0u) << pass;
+                EXPECT_GT(r.stats.misses + r.stats.hits, 0u) << pass;
                 if (pass == 0) {
                     EXPECT_GT(r.stats.modelEvals, 0u);
-                } else if (maxEntries == 0) {
-                    EXPECT_GT(r.stats.l0Hits + r.stats.hits, 0u);
+                } else if (maxBytes == 0) {
+                    EXPECT_GT(r.stats.hits, 0u);
                 }
-                if (maxEntries != 0) {
+                if (maxBytes != 0) {
                     EXPECT_GT(r.stats.evictions, 0u) << pass;
                 }
             }
