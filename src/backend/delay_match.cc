@@ -28,6 +28,7 @@ runDelayMatching(Dag &dag)
         panic("runDelayMatching: infeasible constraint system");
 
     DelayMatchStats stats;
+    stats.lp = lp.flowStats();
     for (int e = 0; e < dag.numEdges(); e++) {
         if (conOf[size_t(e)] < 0) {
             dag.edge(e).regs = 0;

@@ -6,7 +6,7 @@
  * D_v - D_u - L_v >= 0 pipeline registers on each edge so that all
  * input pins of every primitive receive data from the same logical
  * cycle. The objective min sum EL * width is solved exactly via the
- * difference-constraint LP (network-simplex dual).
+ * difference-constraint LP (lp/diffcon.hh, a min-cost-flow dual).
  *
  * Per-config programmed delays (FIFO depths, control skews) are
  * excluded from the LP: the front end derives them from the same
@@ -18,6 +18,7 @@
 #define LEGO_BACKEND_DELAY_MATCH_HH
 
 #include "backend/dag.hh"
+#include "lp/netflow.hh"
 
 namespace lego
 {
@@ -27,6 +28,7 @@ struct DelayMatchStats
 {
     Int insertedRegs = 0;    //!< Total EL over edges.
     Int insertedRegBits = 0; //!< Sum of EL * width (LP objective).
+    FlowStats lp;            //!< The LP solver's work.
 };
 
 /**

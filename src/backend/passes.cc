@@ -17,7 +17,7 @@ runBackend(CodegenResult &gen, const BackendOptions &opt)
     {
         Dag base = dag;
         assignPipelineLatencies(base);
-        runDelayMatching(base);
+        rep.lp += runDelayMatching(base).lp;
         rep.baseline = dagCost(base);
     }
 
@@ -26,7 +26,7 @@ runBackend(CodegenResult &gen, const BackendOptions &opt)
     assignPipelineLatencies(dag);
     {
         Dag t = dag;
-        runDelayMatching(t);
+        rep.lp += runDelayMatching(t).lp;
         rep.afterReduce = dagCost(t);
     }
 
@@ -34,6 +34,8 @@ runBackend(CodegenResult &gen, const BackendOptions &opt)
         rep.rewireStats = rewireBroadcasts(dag);
     assignPipelineLatencies(dag); // Cover rewiring-inserted taps.
     rep.matchStats = runDelayMatching(dag); // Stage 3 / final.
+    rep.lp += rep.rewireStats.lp;
+    rep.lp += rep.matchStats.lp;
     rep.afterRewire = dagCost(dag);
 
     if (opt.pinReuse)

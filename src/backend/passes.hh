@@ -51,6 +51,7 @@ struct BackendReport
     PowerGateStats gateStats;
     DelayMatchStats matchStats;
     BitwidthStats widthStats;
+    FlowStats lp; //!< Summed over the four LP solves.
 
     double areaSaving() const
     {

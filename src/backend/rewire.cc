@@ -81,6 +81,7 @@ rewireBroadcasts(Dag &dag)
     }
     if (!lp.solve())
         panic("rewireBroadcasts: stage-1 LP infeasible");
+    stats.lp = lp.flowStats();
 
     // ---- stage 2: chain construction per star -------------------------
     for (const Star &s : stars) {

@@ -22,6 +22,7 @@
 #define LEGO_BACKEND_REWIRE_HH
 
 #include "backend/dag.hh"
+#include "lp/netflow.hh"
 
 namespace lego
 {
@@ -32,6 +33,7 @@ struct RewireStats
     int starsRewired = 0;
     int tapsInserted = 0;
     Int regBitsSavedEstimate = 0;
+    FlowStats lp; //!< The stage-1 LP solver's work.
 };
 
 /** Apply stages 1 and 2; caller re-runs delay matching (stage 3). */

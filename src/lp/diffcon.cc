@@ -49,7 +49,9 @@ DiffConstraintLp::solve()
         mcf.addArc(c.u, c.v, cap, -c.lower);
     for (int v = 0; v < n; v++)
         mcf.setSupply(v, -g[size_t(v)]);
-    if (!mcf.solve())
+    const bool routed = mcf.solve();
+    flowStats_ = mcf.stats();
+    if (!routed)
         return false;
 
     d_.assign(size_t(n), 0);

@@ -11,11 +11,13 @@
  * the node potentials (the constraint matrix is totally unimodular, so
  * the integral optimum is the true LP optimum).
  *
- * The LP usually has many optimal D. Which one is returned is decided
- * by MinCostFlow's potential rule (Bellman-Ford start, capped update
- * after each Dijkstra; see netflow.hh), and it fixes where delay
- * matching places registers. A solver change must keep that rule, or
- * the generated designs change.
+ * The LP usually has many optimal D. MinCostFlow's potential rule
+ * picks one: Bellman-Ford start potentials, then pi[v] += min(dist[v],
+ * dist[sink]) after each Dijkstra. That choice fixes where delay
+ * matching places registers, so a solver change must return the same
+ * potentials, not just an optimal dual. netflow.hh argues in one line
+ * per shortcut why its loop keeps them; test_lp checks them against a
+ * one-path-per-Dijkstra reference on random and design-scale LPs.
  *
  * Broadcast-aware re-pricing (Section V-B stage 1) is expressible in
  * the same form by adding a virtual max-node per broadcast source, so
@@ -28,6 +30,7 @@
 #include <vector>
 
 #include "core/types.hh"
+#include "lp/netflow.hh"
 
 namespace lego
 {
@@ -66,6 +69,9 @@ class DiffConstraintLp
     /** Total weighted objective sum_k w_k * slack_k. */
     Int objective() const;
 
+    /** The min-cost flow's work in the last solve(). */
+    const FlowStats &flowStats() const { return flowStats_; }
+
   private:
     struct Con
     {
@@ -76,6 +82,7 @@ class DiffConstraintLp
     size_t numVars_;
     std::vector<Con> cons_;
     std::vector<Int> d_;
+    FlowStats flowStats_;
     bool solved_ = false;
 };
 

@@ -8,18 +8,23 @@
  * one path per Dijkstra) on the shapes delay matching and
  * rewireBroadcasts produce, and against the dense simplex on small
  * instances. The LP has many optimal duals; the reference pins the
- * one MinCostFlow must return, so every slack must match exactly.
+ * one MinCostFlow must return, so every slack must match exactly. The
+ * same holds at design scale: the baseline delay-matching LP of each
+ * Fig. 10 design.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
+#include <cmath>
 #include <deque>
 #include <limits>
 #include <queue>
 #include <random>
 
+#include "kernels.hh"
+#include "lego.hh"
 #include "lp/diffcon.hh"
 #include "lp/ilp.hh"
 #include "lp/netflow.hh"
@@ -484,20 +489,18 @@ expectOptimalDual(const MinCostFlow &f,
 }
 
 /**
- * Capacitated min-cost flow on random DAGs (costs may be negative);
- * supplies come from a random in-capacity flow, so each instance is
- * feasible and capacities bind.
+ * Capacitated min-cost flow on a random n-node DAG with costs drawn
+ * from [minCost, maxCost] (possibly negative); supplies come from a random
+ * in-capacity flow, so the instance is feasible and capacities bind.
+ * The flow must match the reference solver's cost and potentials and
+ * the dense simplex's cost.
  */
-class MinCostFlowRandom : public ::testing::TestWithParam<unsigned>
+void
+checkRandomFlow(unsigned seed, int n, Int minCost, Int maxCost)
 {
-};
-
-TEST_P(MinCostFlowRandom, MatchesReferenceAndSimplex)
-{
-    std::mt19937 rng(GetParam());
-    const int n = 4 + int(GetParam() % 6);
+    std::mt19937 rng(seed);
     std::uniform_int_distribution<int> node(0, n - 1);
-    std::uniform_int_distribution<Int> capD(1, 4), costD(-3, 9);
+    std::uniform_int_distribution<Int> capD(1, 4), costD(minCost, maxCost);
     std::vector<std::array<Int, 4>> arcs;
     std::vector<Int> supply(size_t(n), 0);
     for (int trial = 0; trial < 3 * n; trial++) {
@@ -530,13 +533,31 @@ TEST_P(MinCostFlowRandom, MatchesReferenceAndSimplex)
         EXPECT_EQ(mcf.potential(v), ref.potential(v)) << "node " << v;
     expectOptimalDual(mcf, arcs, "mcf");
     if (!arcs.empty()) {
-        EXPECT_NEAR(double(mcf.totalCost()),
-                    simplexFlowCost(n, arcs, supply), 1e-6);
+        const double lp = simplexFlowCost(n, arcs, supply);
+        EXPECT_NEAR(double(mcf.totalCost()), lp,
+                    std::max(1e-6, 1e-12 * std::abs(lp)));
     }
+}
+
+class MinCostFlowRandom : public ::testing::TestWithParam<unsigned>
+{
+};
+
+TEST_P(MinCostFlowRandom, MatchesReferenceAndSimplex)
+{
+    checkRandomFlow(GetParam(), 4 + int(GetParam() % 6), -3, 9);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MinCostFlowRandom,
                          ::testing::Range(0u, 60u));
+
+TEST(MinCostFlow, WideCostsMatchReferenceAndSimplex)
+{
+    // Costs up to 1e12 put Dijkstra's distances beyond 2^32, so its
+    // queue keys differ from each other in high bits as well as low.
+    for (unsigned seed = 0; seed < 12; seed++)
+        checkRandomFlow(seed, 20, -300'000'000'000, 1'000'000'000'000);
+}
 
 /** Difference-constraint instance shapes that codegen produces. */
 enum class Shape
@@ -715,6 +736,41 @@ TEST_P(DiffConRandom, MatchesReferenceAndSimplex)
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DiffConRandom,
                          ::testing::Range(0u, 200u));
+
+/**
+ * The baseline delay-matching LP of every Fig. 10 design, built as
+ * runDelayMatching builds it after codegen, bit-width inference and
+ * logic-depth pipelining: MinCostFlow returns the reference dual at
+ * every node.
+ */
+TEST(DiffConDesigns, Fig10BaselineDualMatchesReference)
+{
+    for (NamedDesign &d : fig10Designs()) {
+        CodegenResult gen = codegen(generateArchitecture(d.configs));
+        Dag &dag = gen.dag;
+        inferBitwidths(dag);
+        assignPipelineLatencies(dag);
+        std::vector<Con> cons;
+        for (int e = 0; e < dag.numEdges(); e++) {
+            const DagEdge &edge = dag.edge(e);
+            if (!edge.dead && dag.node(edge.from).op != PrimOp::Const)
+                cons.push_back({edge.from, edge.to,
+                                dag.node(edge.to).latency, edge.width});
+        }
+        const int n = dag.numNodes();
+        MinCostFlow mcf(n);
+        ReferenceSsp ref(n);
+        loadDual(mcf, n, cons);
+        loadDual(ref, n, cons);
+        ASSERT_TRUE(mcf.solve()) << d.name;
+        ASSERT_TRUE(ref.solve()) << d.name;
+        EXPECT_GT(mcf.stats().paths, 0) << d.name;
+        EXPECT_EQ(mcf.totalCost(), ref.totalCost()) << d.name;
+        for (int v = 0; v < n; v++)
+            ASSERT_EQ(mcf.potential(v), ref.potential(v))
+                << d.name << " node " << v;
+    }
+}
 
 TEST(BoolIlp, SetCover)
 {

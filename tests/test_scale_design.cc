@@ -61,6 +61,17 @@ TEST(ScaleDesign, GemmIcoc32x32Identical)
     EXPECT_DOUBLE_EQ(c.ctrlPower, 15571.599999999697);
     EXPECT_DOUBLE_EQ(c.portPower, 10944.000000000224);
     EXPECT_EQ(fnv1a(rtl), 0x3b62a9a903ff04baull);
+
+    // The four LP solves' work. Phases, level rounds and augmenting
+    // paths equal the plain primal-dual loop's (no early exits, binary
+    // heap, full adjacency scans), so the solver still walks the same
+    // trajectory. That loop popped 861,941 nodes in Dijkstra and
+    // scanned 31,341,915 arc slots in the level BFS.
+    EXPECT_EQ(rep.lp.phases, 117);
+    EXPECT_EQ(rep.lp.rounds, 1146);
+    EXPECT_EQ(rep.lp.paths, 17985);
+    EXPECT_EQ(rep.lp.settled, 544453);
+    EXPECT_EQ(rep.lp.scanned, 13245736);
 }
 
 } // namespace
