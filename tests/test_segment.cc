@@ -316,6 +316,105 @@ TEST(SegmentSearch, AcceptedSegmentsStrictlyDominate)
               serial.summary.totalEnergyPj);
 }
 
+/** One pipelined segment of a pinned registry plan. */
+struct PinnedSegment
+{
+    std::size_t first, len;
+    std::vector<int> cols;
+    Int cycles;
+    double energyPj;
+};
+
+/** A registry model's cold segmentation search on the default
+ *  hardware: its pipelined segments and the search's cold work. */
+struct PinnedPlan
+{
+    const char *model;
+    std::uint64_t segMisses, modelEvals;
+    std::vector<PinnedSegment> segments;
+};
+
+/** Every registry model's searched plan and cold work, pinned: a
+ *  change to the search's internals (caching, evaluation order) must
+ *  leave the emitted plan, its costs and the cache traffic that
+ *  reaches the evaluator exactly as they are. A warm re-run on the
+ *  same engine replays the plan from the cache alone. */
+TEST(SegmentSearch, RegistryPlansArePinned)
+{
+    const std::vector<PinnedPlan> pins = {
+        {"alexnet", 35, 56, {{9, 3, {10, 3, 3}, 3701890, 4889835430.4776287}}},
+        {"mobilenetv2", 53, 170,
+         {{0, 2, {12, 4}, 70139, 76333883.149717852},
+          {4, 2, {14, 2}, 94524, 81636697.035026789},
+          {8, 2, {9, 7}, 78943, 79912777.994597897},
+          {13, 2, {14, 2}, 54968, 50108198.330786981},
+          {17, 2, {12, 4}, 33887, 44586278.92702093},
+          {22, 2, {13, 3}, 26255, 19521082.414411418}}},
+        {"resnet50", 42, 163, {}},
+        {"efficientnetv2", 41, 176,
+         {{6, 2, {13, 3}, 191094, 121298780.6652267},
+          {10, 2, {14, 2}, 50497, 59820028.439041696},
+          {14, 2, {14, 2}, 50497, 59820028.439041696},
+          {18, 2, {14, 2}, 50497, 59820028.439041696},
+          {22, 2, {14, 2}, 50497, 59820028.439041696},
+          {26, 2, {14, 2}, 50497, 59820028.439041696}}},
+        {"bert", 0, 0, {}},
+        {"gpt2", 0, 0, {}},
+        {"coatnet", 7, 65, {{1, 2, {13, 3}, 1016214, 660044884.54166341}}},
+        {"lenet", 13, 26, {}},
+        {"ddpm", 3, 61, {}},
+        {"sdunet", 0, 0, {}},
+        {"llama7b", 5, 23, {{8, 2, {12, 4}, 5690663, 7528580563.0064516}}},
+        {"llama7b-bs32", 3, 43, {}},
+    };
+    const std::vector<std::string> names = serve::modelRegistryNames();
+    ASSERT_EQ(names.size(), pins.size());
+
+    HardwareConfig hw;
+    for (std::size_t n = 0; n < pins.size(); ++n) {
+        const PinnedPlan &pin = pins[n];
+        ASSERT_EQ(names[n], pin.model);
+        Model m;
+        ASSERT_TRUE(serve::lookupModel(pin.model, &m));
+        DseOptions o;
+        o.threads = 1;
+        o.compose.segment.enable = true;
+        DseEngine e(o);
+
+        SegmentPlan cold = e.searchSegmentPlan(hw, m, o.compose.segment);
+        std::vector<const Segment *> piped;
+        for (const Segment &s : cold.segments)
+            if (s.pipelined())
+                piped.push_back(&s);
+        ASSERT_EQ(piped.size(), pin.segments.size()) << pin.model;
+        for (std::size_t i = 0; i < piped.size(); ++i) {
+            const Segment &s = *piped[i];
+            const PinnedSegment &p = pin.segments[i];
+            EXPECT_EQ(s.first, p.first) << pin.model << " seg " << i;
+            EXPECT_EQ(s.len, p.len) << pin.model << " seg " << i;
+            std::vector<int> cols;
+            for (const SegmentStage &st : s.stages)
+                cols.push_back(st.cols);
+            EXPECT_EQ(cols, p.cols) << pin.model << " seg " << i;
+            EXPECT_EQ(s.cost.cycles, p.cycles) << pin.model << " seg " << i;
+            EXPECT_DOUBLE_EQ(s.cost.energyPj, p.energyPj)
+                << pin.model << " seg " << i;
+        }
+        const std::uint64_t evals = e.evaluator().counters().modelEvals;
+        EXPECT_EQ(e.cache().counters().segMisses, pin.segMisses)
+            << pin.model;
+        EXPECT_EQ(evals, pin.modelEvals) << pin.model;
+
+        // Warm: the same plan, every record and mapping a cache hit.
+        SegmentPlan warm = e.searchSegmentPlan(hw, m, o.compose.segment);
+        expectSameSegments(cold.segments, warm.segments);
+        EXPECT_EQ(e.cache().counters().segMisses, pin.segMisses)
+            << pin.model;
+        EXPECT_EQ(e.evaluator().counters().modelEvals, evals)
+            << pin.model;
+    }
+}
+
 /** Segment records survive a v5 save/load round trip bit-for-bit; a
  *  v2-stamped file is rejected wholesale (cold start). */
 TEST(SegmentCache, V4RoundTripAndV2Rejected)
