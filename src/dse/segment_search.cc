@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
+#include <tuple>
 
 #include "dse/cost_cache.hh"
 #include "dse/strategy.hh"
@@ -55,13 +57,23 @@ struct Group
     std::vector<int> cols; //!< Per member; empty for singletons.
 };
 
-/** Cost of one group under the current state. */
+/** Orders groups by (start, len, cols): the run memo's key. */
+struct GroupLess
+{
+    bool operator()(const Group &a, const Group &b) const
+    {
+        return std::tie(a.start, a.len, a.cols) <
+               std::tie(b.start, b.len, b.cols);
+    }
+};
+
+/** Cost of one pipelined group. */
 struct GroupEval
 {
     bool feasible = true;
     Int cycles = 0;
     double energyPj = 0;
-    Segment seg; //!< Filled for pipelined groups only.
+    Segment seg;
 };
 
 class RunAnnealer
@@ -79,7 +91,12 @@ class RunAnnealer
           len_(len), serial_(serial), sram_(sram), noc_(noc),
           stats_(stats), cancel_(cancel),
           rng_(opt.seed ^ (0x9e3779b97f4a7c15ull * (first + 1)))
-    {}
+    {
+        for (std::size_t i = 0; i < len_; ++i) {
+            serialCycles_ += serial_[i].result.cycles;
+            serialEnergy_ += serial_[i].result.energyPj;
+        }
+    }
 
     /** Anneal, then emit the run's segments (strict-domination
      *  filtered) into `plan`. */
@@ -149,9 +166,9 @@ class RunAnnealer
     /** Group cost normalized against its own serial execution
      *  (2.0 = break-even, < 2.0 beats serial on aggregate;
      *  infeasible pegged at the soft 2.5 penalty). */
-    double groupObjective(const Group &g) const
+    double groupObjective(const Group &g)
     {
-        GroupEval ge = evalGroup(g);
+        const GroupEval &ge = memoEval(g);
         if (!ge.feasible)
             return 2.5;
         Int sc = 0;
@@ -169,7 +186,7 @@ class RunAnnealer
      * merged groups arrive rate-balanced AND feasible when such a
      * neighbour exists, instead of asking the cooling schedule to
      * find it one lucky resize at a time. Every evaluation is
-     * segment-record memoized, so revisits are cheap.
+     * run-memoized, so revisits are cheap.
      */
     void polish(Group *g)
     {
@@ -203,14 +220,21 @@ class RunAnnealer
         }
     }
 
+    /** Cost of a pipelined group, evaluated on first sight and read
+     *  back from the run memo after that. A group's cost depends on
+     *  (start, len, cols) alone, so a memo read equals a fresh
+     *  evaluation and every walk stays bit-identical. */
+    const GroupEval &memoEval(const Group &g)
+    {
+        auto it = memo_.find(g);
+        if (it == memo_.end())
+            it = memo_.emplace(g, evalGroup(g)).first;
+        return it->second;
+    }
+
     GroupEval evalGroup(const Group &g) const
     {
         GroupEval ge;
-        if (g.len == 1) {
-            ge.cycles = serial_[g.start].result.cycles;
-            ge.energyPj = serial_[g.start].result.energyPj;
-            return ge;
-        }
         if (stats_)
             ++stats_->plansEvaluated;
 
@@ -284,18 +308,17 @@ class RunAnnealer
 
     /** Normalized state objective: latency share + energy share of
      *  the serial baseline (lower is better; 2.0 = break-even). */
-    double objective(const std::vector<Group> &state) const
+    double objective(const std::vector<Group> &state)
     {
-        Int serialCycles = 0;
-        double serialEnergy = 0;
-        for (std::size_t i = 0; i < len_; ++i) {
-            serialCycles += serial_[i].result.cycles;
-            serialEnergy += serial_[i].result.energyPj;
-        }
         Int cycles = 0;
         double energy = 0;
         for (const Group &g : state) {
-            GroupEval ge = evalGroup(g);
+            if (g.len == 1) {
+                cycles += serial_[g.start].result.cycles;
+                energy += serial_[g.start].result.energyPj;
+                continue;
+            }
+            const GroupEval &ge = memoEval(g);
             if (!ge.feasible) {
                 // Soft penalty, not a hard wall: an infeasible group
                 // costs its serial execution plus 25%. The walk can
@@ -314,8 +337,8 @@ class RunAnnealer
             cycles += ge.cycles;
             energy += ge.energyPj;
         }
-        return double(cycles) / double(std::max<Int>(1, serialCycles)) +
-               energy / std::max(1e-9, serialEnergy);
+        return double(cycles) / double(std::max<Int>(1, serialCycles_)) +
+               energy / std::max(1e-9, serialEnergy_);
     }
 
     /** Propose a mutated state; empty when the chosen move has no
@@ -402,7 +425,7 @@ class RunAnnealer
     {
         for (const Group &g : state) {
             if (g.len >= 2) {
-                GroupEval ge = evalGroup(g);
+                const GroupEval &ge = memoEval(g);
                 Int serialCycles = 0;
                 double serialEnergy = 0;
                 serialCost(g, &serialCycles, &serialEnergy);
@@ -410,7 +433,7 @@ class RunAnnealer
                     ge.energyPj < serialEnergy) {
                     if (stats_)
                         ++stats_->accepted;
-                    out->push_back(std::move(ge.seg));
+                    out->push_back(ge.seg);
                     continue;
                 }
             }
@@ -434,6 +457,9 @@ class RunAnnealer
     SegmentSearchStats *stats_;
     const CancelToken *cancel_;
     SplitMix64 rng_;
+    Int serialCycles_ = 0;      //!< Serial cost of the whole run.
+    double serialEnergy_ = 0;
+    std::map<Group, GroupEval, GroupLess> memo_; //!< Pipelined groups.
 };
 
 } // namespace

@@ -8,8 +8,11 @@
  * the segmentation, resize moves shift column quanta between
  * adjacent stages. Candidate segments are costed through
  * sim/segment_cost.hh with per-stage mappings searched under the
- * slice sub-configs (memoized in the CostCache at both the layer
- * and the segment level).
+ * slice sub-configs. Each chain run's annealer costs a distinct
+ * group (start, len, cols) once and reads every later visit from a
+ * per-run memo; that one costing goes through the CostCache, which
+ * memoizes both the per-stage layer results and whole segment
+ * records across searches.
  *
  * Determinism: the whole search runs on the calling thread and all
  * randomness lives in one SplitMix64 stream seeded from
@@ -39,8 +42,8 @@ struct SegmentSearchStats
 {
     std::uint64_t chainRuns = 0;      //!< Chainable runs considered.
     std::uint64_t movesTried = 0;     //!< Annealer moves proposed.
-    std::uint64_t plansEvaluated = 0; //!< Pipelined segments costed.
-    std::uint64_t infeasible = 0;     //!< Costed segments over capacity.
+    std::uint64_t plansEvaluated = 0; //!< Distinct pipelined groups costed.
+    std::uint64_t infeasible = 0;     //!< Of those, over capacity.
     std::uint64_t accepted = 0;       //!< Pipelined segments in the plan.
 };
 
@@ -55,7 +58,8 @@ struct SegmentSearchStats
  * the first tripped check and the best state found so far is
  * emitted (still strict-domination filtered, so a truncated search
  * can only fall back toward the serial plan, never below it).
- * Segment records computed under a tripped token are not memoized.
+ * Segment records computed under a tripped token never enter the
+ * CostCache; the per-run memo that holds them ends with the search.
  */
 SegmentPlan searchSegments(const HardwareConfig &hw, const Model &m,
                            const Evaluator &ev,

@@ -331,6 +331,7 @@ struct PinnedPlan
 {
     const char *model;
     std::uint64_t segMisses, modelEvals;
+    std::uint64_t plansEvaluated; //!< Distinct pipelined groups.
     std::vector<PinnedSegment> segments;
 };
 
@@ -341,31 +342,36 @@ struct PinnedPlan
  *  same engine replays the plan from the cache alone. */
 TEST(SegmentSearch, RegistryPlansArePinned)
 {
+    // {model, cold segMisses, cold modelEvals, plansEvaluated,
+    //  {{first, len, cols, cycles, energyPj}, ...}}
     const std::vector<PinnedPlan> pins = {
-        {"alexnet", 35, 56, {{9, 3, {10, 3, 3}, 3701890, 4889835430.4776287}}},
-        {"mobilenetv2", 53, 170,
+        {"alexnet", 35, 56, 35,
+         {{9, 3, {10, 3, 3}, 3701890, 4889835430.4776287}}},
+        {"mobilenetv2", 53, 170, 59,
          {{0, 2, {12, 4}, 70139, 76333883.149717852},
           {4, 2, {14, 2}, 94524, 81636697.035026789},
           {8, 2, {9, 7}, 78943, 79912777.994597897},
           {13, 2, {14, 2}, 54968, 50108198.330786981},
           {17, 2, {12, 4}, 33887, 44586278.92702093},
           {22, 2, {13, 3}, 26255, 19521082.414411418}}},
-        {"resnet50", 42, 163, {}},
-        {"efficientnetv2", 41, 176,
+        {"resnet50", 42, 163, 42, {}},
+        {"efficientnetv2", 41, 176, 142,
          {{6, 2, {13, 3}, 191094, 121298780.6652267},
           {10, 2, {14, 2}, 50497, 59820028.439041696},
           {14, 2, {14, 2}, 50497, 59820028.439041696},
           {18, 2, {14, 2}, 50497, 59820028.439041696},
           {22, 2, {14, 2}, 50497, 59820028.439041696},
           {26, 2, {14, 2}, 50497, 59820028.439041696}}},
-        {"bert", 0, 0, {}},
-        {"gpt2", 0, 0, {}},
-        {"coatnet", 7, 65, {{1, 2, {13, 3}, 1016214, 660044884.54166341}}},
-        {"lenet", 13, 26, {}},
-        {"ddpm", 3, 61, {}},
-        {"sdunet", 0, 0, {}},
-        {"llama7b", 5, 23, {{8, 2, {12, 4}, 5690663, 7528580563.0064516}}},
-        {"llama7b-bs32", 3, 43, {}},
+        {"bert", 0, 0, 0, {}},
+        {"gpt2", 0, 0, 0, {}},
+        {"coatnet", 7, 65, 7,
+         {{1, 2, {13, 3}, 1016214, 660044884.54166341}}},
+        {"lenet", 13, 26, 13, {}},
+        {"ddpm", 3, 61, 3, {}},
+        {"sdunet", 0, 0, 0, {}},
+        {"llama7b", 5, 23, 5,
+         {{8, 2, {12, 4}, 5690663, 7528580563.0064516}}},
+        {"llama7b-bs32", 3, 43, 3, {}},
     };
     const std::vector<std::string> names = serve::modelRegistryNames();
     ASSERT_EQ(names.size(), pins.size());
@@ -404,6 +410,8 @@ TEST(SegmentSearch, RegistryPlansArePinned)
         EXPECT_EQ(e.cache().counters().segMisses, pin.segMisses)
             << pin.model;
         EXPECT_EQ(evals, pin.modelEvals) << pin.model;
+        EXPECT_EQ(e.segmentStats().plansEvaluated, pin.plansEvaluated)
+            << pin.model;
 
         // Warm: the same plan, every record and mapping a cache hit.
         SegmentPlan warm = e.searchSegmentPlan(hw, m, o.compose.segment);
@@ -411,6 +419,9 @@ TEST(SegmentSearch, RegistryPlansArePinned)
         EXPECT_EQ(e.cache().counters().segMisses, pin.segMisses)
             << pin.model;
         EXPECT_EQ(e.evaluator().counters().modelEvals, evals)
+            << pin.model;
+        EXPECT_EQ(e.segmentStats().plansEvaluated,
+                  2 * pin.plansEvaluated)
             << pin.model;
     }
 }
