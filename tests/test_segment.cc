@@ -5,7 +5,8 @@
  * case's bit-identity with the layer-valued composer, composer budget
  * edge cases (budget = 0, single-layer models, infeasible caps),
  * buffer-capacity infeasibility in the segment cost model, annealer
- * determinism for any worker count, segment-record cache round trips
+ * determinism for any worker count, every registry model's searched
+ * plan and cold work pinned, segment-record cache round trips
  * (v3) with stale v2 rejection, and the serve-loop segmentation knob
  * (default off = bit-identical replies).
  */
@@ -379,6 +380,7 @@ TEST(SegmentSearch, RegistryPlansArePinned)
     HardwareConfig hw;
     for (std::size_t n = 0; n < pins.size(); ++n) {
         const PinnedPlan &pin = pins[n];
+        SCOPED_TRACE(pin.model);
         ASSERT_EQ(names[n], pin.model);
         Model m;
         ASSERT_TRUE(serve::lookupModel(pin.model, &m));
@@ -392,37 +394,31 @@ TEST(SegmentSearch, RegistryPlansArePinned)
         for (const Segment &s : cold.segments)
             if (s.pipelined())
                 piped.push_back(&s);
-        ASSERT_EQ(piped.size(), pin.segments.size()) << pin.model;
+        ASSERT_EQ(piped.size(), pin.segments.size());
         for (std::size_t i = 0; i < piped.size(); ++i) {
+            SCOPED_TRACE(i);
             const Segment &s = *piped[i];
             const PinnedSegment &p = pin.segments[i];
-            EXPECT_EQ(s.first, p.first) << pin.model << " seg " << i;
-            EXPECT_EQ(s.len, p.len) << pin.model << " seg " << i;
+            EXPECT_EQ(s.first, p.first);
+            EXPECT_EQ(s.len, p.len);
             std::vector<int> cols;
             for (const SegmentStage &st : s.stages)
                 cols.push_back(st.cols);
-            EXPECT_EQ(cols, p.cols) << pin.model << " seg " << i;
-            EXPECT_EQ(s.cost.cycles, p.cycles) << pin.model << " seg " << i;
-            EXPECT_DOUBLE_EQ(s.cost.energyPj, p.energyPj)
-                << pin.model << " seg " << i;
+            EXPECT_EQ(cols, p.cols);
+            EXPECT_EQ(s.cost.cycles, p.cycles);
+            EXPECT_DOUBLE_EQ(s.cost.energyPj, p.energyPj);
         }
         const std::uint64_t evals = e.evaluator().counters().modelEvals;
-        EXPECT_EQ(e.cache().counters().segMisses, pin.segMisses)
-            << pin.model;
-        EXPECT_EQ(evals, pin.modelEvals) << pin.model;
-        EXPECT_EQ(e.segmentStats().plansEvaluated, pin.plansEvaluated)
-            << pin.model;
+        EXPECT_EQ(e.cache().counters().segMisses, pin.segMisses);
+        EXPECT_EQ(evals, pin.modelEvals);
+        EXPECT_EQ(e.segmentStats().plansEvaluated, pin.plansEvaluated);
 
         // Warm: the same plan, every record and mapping a cache hit.
         SegmentPlan warm = e.searchSegmentPlan(hw, m, o.compose.segment);
         expectSameSegments(cold.segments, warm.segments);
-        EXPECT_EQ(e.cache().counters().segMisses, pin.segMisses)
-            << pin.model;
-        EXPECT_EQ(e.evaluator().counters().modelEvals, evals)
-            << pin.model;
-        EXPECT_EQ(e.segmentStats().plansEvaluated,
-                  2 * pin.plansEvaluated)
-            << pin.model;
+        EXPECT_EQ(e.cache().counters().segMisses, pin.segMisses);
+        EXPECT_EQ(e.evaluator().counters().modelEvals, evals);
+        EXPECT_EQ(e.segmentStats().plansEvaluated, 2 * pin.plansEvaluated);
     }
 }
 
