@@ -180,15 +180,18 @@ rewireBroadcasts(Dag &dag)
                 chain_cost +=
                     te.cfgDelay[size_t(c)] + (d.el - prev_el);
             }
+            // addEdge can reallocate the edge list: `edge` dangles
+            // from here on, so the destination edge is re-fetched.
             dag.addEdge(std::move(te));
 
             // The destination now reads its tap with no extra delay.
             dag.retargetEdgeSource(d.edge, tid);
-            if (!edge.cfgDelay.empty())
-                edge.cfgDelay.assign(size_t(nc), 0);
+            DagEdge &dest = dag.edge(d.edge);
+            if (!dest.cfgDelay.empty())
+                dest.cfgDelay.assign(size_t(nc), 0);
 
             prev_tap = tid;
-            prev_fu = dag.node(edge.to).fu;
+            prev_fu = dag.node(dest.to).fu;
             prev_prog = d.prog;
             prev_el = d.el;
             chained++;

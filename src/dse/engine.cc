@@ -104,6 +104,9 @@ DseEngine::explore(const CandidateSpace &space, const Model &m,
     std::unique_ptr<Strategy> strat =
         makeStrategy(opt_.strategy, sopt);
 
+    // One class table for every candidate of this call.
+    const std::vector<LayerClass> classes = evaluator_.layerClasses(m);
+
     // Every candidate is scored at most once per explore() call;
     // strategies are free to re-propose ids.
     std::unordered_set<std::size_t> evaluated;
@@ -144,7 +147,7 @@ DseEngine::explore(const CandidateSpace &space, const Model &m,
             StatsContext::Scope scope(&statsCtx);
             points[i] =
                 evaluator_.evaluate(space.decode(fresh[i]), m,
-                                    fresh[i]);
+                                    classes, fresh[i]);
         });
 
         // Ordered reduction: archive updates in proposal order.

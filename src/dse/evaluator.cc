@@ -316,46 +316,30 @@ Evaluator::mapModelFrontier(const HardwareConfig &hw, const Model &m,
     // requests, and each item's counters must credit the request
     // that asked for it (stats_scope.hh).
     StatsContext *const statsCtx = StatsContext::current();
+    // Search one representative per class and broadcast: class
+    // members produce bit-identical frontiers by construction (the
+    // signature covers every field the sweep reads).
+    const std::vector<LayerClass> classes = layerClasses(m);
+    std::vector<MappingFrontier> byClass(classes.size(),
+                                         MappingFrontier(cap));
+    auto mapOne = [&](std::size_t c) {
+        StatsContext::Scope scope(statsCtx);
+        byClass[c] = searchMappingFrontier(
+            hw, m.layers[classes[c].representative], cap, cancel);
+    };
+    if (pool) {
+        pool->parallelFor(classes.size(), mapOne);
+    } else {
+        for (std::size_t c = 0; c < classes.size(); ++c)
+            mapOne(c);
+    }
     std::vector<MappingFrontier> fronts(m.layers.size(),
                                         MappingFrontier(cap));
-    if (policy_.dedupLayerClasses) {
-        // Search one representative per shape-identical class and
-        // broadcast: class members produce bit-identical frontiers
-        // by construction (the signature covers every field the
-        // sweep reads).
-        const std::vector<LayerClass> classes = groupLayerClasses(m);
-        std::vector<MappingFrontier> byClass(classes.size(),
-                                             MappingFrontier(cap));
-        auto mapOne = [&](std::size_t c) {
-            StatsContext::Scope scope(statsCtx);
-            byClass[c] = searchMappingFrontier(
-                hw, m.layers[classes[c].representative], cap,
-                cancel);
-        };
-        if (pool) {
-            pool->parallelFor(classes.size(), mapOne);
-        } else {
-            for (std::size_t c = 0; c < classes.size(); ++c)
-                mapOne(c);
-        }
-        for (std::size_t c = 0; c < classes.size(); ++c)
-            for (std::size_t idx : classes[c].members)
-                fronts[idx] = byClass[c];
-        bumpStat(stats_, CounterId::layersDeduped,
-                 m.layers.size() - classes.size());
-    } else {
-        auto mapOne = [&](std::size_t i) {
-            StatsContext::Scope scope(statsCtx);
-            fronts[i] = searchMappingFrontier(hw, m.layers[i], cap,
-                                              cancel);
-        };
-        if (pool) {
-            pool->parallelFor(m.layers.size(), mapOne);
-        } else {
-            for (std::size_t i = 0; i < m.layers.size(); ++i)
-                mapOne(i);
-        }
-    }
+    for (std::size_t c = 0; c < classes.size(); ++c)
+        for (std::size_t idx : classes[c].members)
+            fronts[idx] = byClass[c];
+    bumpStat(stats_, CounterId::layersDeduped,
+             m.layers.size() - classes.size());
     return fronts;
 }
 
@@ -433,22 +417,57 @@ Evaluator::mapZoo(const HardwareConfig &hw,
                       ComposeOptions{});
 }
 
+std::vector<LayerClass>
+Evaluator::layerClasses(const Model &m) const
+{
+    if (policy_.dedupLayerClasses)
+        return groupLayerClasses(m);
+    std::vector<LayerClass> classes(m.layers.size());
+    for (std::size_t i = 0; i < classes.size(); ++i) {
+        classes[i].representative = i;
+        classes[i].members = {i};
+    }
+    return classes;
+}
+
 DsePoint
 Evaluator::evaluate(const HardwareConfig &hw, const Model &m,
+                    std::size_t id) const
+{
+    return evaluate(hw, m, layerClasses(m), id);
+}
+
+DsePoint
+Evaluator::evaluate(const HardwareConfig &hw, const Model &m,
+                    const std::vector<LayerClass> &classes,
                     std::size_t id) const
 {
     DsePoint p;
     p.id = id;
     p.hw = hw;
-    // Per-candidate work stays on the calling worker thread; the
-    // memo cache already de-duplicates across candidates and layers.
-    ScheduleResult sched = mapModel(hw, m, nullptr);
+    // Searches stay on the calling worker thread. Summing in layer
+    // order replays composeSchedule's unbudgeted accumulate
+    // sequence, so the point is bit-identical to mapModel's summary.
+    std::vector<LayerResult> byClass(classes.size());
+    std::vector<const LayerResult *> perLayer(m.layers.size());
+    for (std::size_t c = 0; c < classes.size(); ++c) {
+        byClass[c] = searchMappingFrontier(
+                         hw, m.layers[classes[c].representative], 1)
+                         .best()
+                         .result;
+        for (std::size_t idx : classes[c].members)
+            perLayer[idx] = &byClass[c];
+    }
+    bumpStat(stats_, CounterId::layersDeduped,
+             m.layers.size() - classes.size());
+    for (std::size_t i = 0; i < m.layers.size(); ++i)
+        accumulate(p.summary, *perLayer[i], m.layers[i].isTensorOp(),
+                   m.layers[i].repeat);
     ChipCost cost = archCost(hw);
-    p.latencyCycles = double(sched.summary.totalCycles);
-    p.energyPj = sched.summary.totalEnergyPj;
+    p.latencyCycles = double(p.summary.totalCycles);
+    p.energyPj = p.summary.totalEnergyPj;
     p.areaMm2 = cost.totalAreaMm2();
     p.powerMw = cost.totalPowerMw();
-    p.summary = sched.summary;
     return p;
 }
 

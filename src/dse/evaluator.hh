@@ -183,8 +183,27 @@ class Evaluator
            const std::vector<const Model *> &zoo,
            WorkerPool *pool = nullptr) const;
 
-    /** Score one hardware candidate on a model as a DSE point. */
+    /**
+     * The class table evaluate() scores over: groupLayerClasses(m),
+     * or one class per layer when EvalPolicy::dedupLayerClasses is
+     * off. explore() builds it once per call, not per candidate.
+     */
+    std::vector<LayerClass> layerClasses(const Model &m) const;
+
+    /** Score one hardware candidate on a model as a DSE point:
+     *  evaluate(hw, m, layerClasses(m), id). */
     DsePoint evaluate(const HardwareConfig &hw, const Model &m,
+                      std::size_t id = 0) const;
+
+    /**
+     * Score one hardware candidate over a prebuilt class table of m
+     * (layerClasses(m)): one K = 1 search per class, then each
+     * layer's class-best result summed in layer order. Bit-identical
+     * to mapModel's summary, counters included (layersDeduped grows
+     * by layers - classes), without building per-layer frontiers.
+     */
+    DsePoint evaluate(const HardwareConfig &hw, const Model &m,
+                      const std::vector<LayerClass> &classes,
                       std::size_t id = 0) const;
 
     CostCache *cache() const { return cache_; }

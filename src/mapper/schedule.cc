@@ -103,9 +103,9 @@ composeSchedule(const Model &m,
 
     if (!out.compose.budgeted) {
         // Unbudgeted fast path: every layer keeps its best-latency
-        // point and no hull/step machinery is needed. This is the
-        // per-candidate hot path of the hardware DSE (evaluate() ->
-        // mapModel() at K = 1), so it stays a plain accumulate loop.
+        // point and no hull/step machinery is needed. The DSE's
+        // Evaluator::evaluate sums explore() candidates with this
+        // same accumulate sequence (layer order); keep them in step.
         out.perLayer.reserve(m.layers.size());
         for (std::size_t i = 0; i < m.layers.size(); ++i) {
             if (fronts[i].empty())

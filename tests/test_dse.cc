@@ -1023,5 +1023,68 @@ TEST(Engine, SweepWorkIsPinned)
     }
 }
 
+/**
+ * explore()'s scoring path — one class table per call, the summary
+ * summed from class results — against the composed schedule it
+ * replaces: every Fig. 11 model over a fixed stride of the default
+ * space, class dedup on and off, with and without a cache. The
+ * points and every evaluator counter delta must match exactly.
+ */
+TEST(Evaluator, ClassTableScoringMatchesComposedSchedule)
+{
+    const CandidateSpace space = dse::defaultSpace();
+    constexpr std::size_t kStride = 11;
+    for (const Model &m : fig11Models()) {
+        for (bool dedup : {true, false}) {
+            for (bool cached : {true, false}) {
+                SCOPED_TRACE(m.name + (dedup ? " dedup" : " no-dedup") +
+                             (cached ? " cached" : " uncached"));
+                dse::EvalPolicy policy;
+                policy.dedupLayerClasses = dedup;
+                CostCache cacheA, cacheB;
+                const Evaluator a(cached ? &cacheA : nullptr, policy);
+                const Evaluator b(cached ? &cacheB : nullptr, policy);
+                const std::vector<LayerClass> classes =
+                    a.layerClasses(m);
+                for (std::size_t id = 0; id < space.size();
+                     id += kStride) {
+                    const HardwareConfig hw = space.decode(id);
+                    const dse::EvalCounters a0 = a.counters();
+                    const DsePoint p = a.evaluate(hw, m, classes, id);
+                    const dse::EvalCounters da = a.counters() - a0;
+                    const dse::EvalCounters b0 = b.counters();
+                    const ScheduleResult s = composeSchedule(
+                        m, b.mapModelFrontier(hw, m, 1), {});
+                    const dse::EvalCounters db = b.counters() - b0;
+                    const ChipCost cost = archCost(hw);
+                    EXPECT_EQ(p.id, id);
+                    EXPECT_EQ(p.summary.totalCycles,
+                              s.summary.totalCycles);
+                    EXPECT_EQ(p.summary.tensorCycles,
+                              s.summary.tensorCycles);
+                    EXPECT_EQ(p.summary.ppuCycles, s.summary.ppuCycles);
+                    EXPECT_EQ(p.summary.totalEnergyPj,
+                              s.summary.totalEnergyPj);
+                    EXPECT_EQ(p.summary.totalMacs, s.summary.totalMacs);
+                    EXPECT_EQ(p.summary.dramBytes, s.summary.dramBytes);
+                    EXPECT_EQ(p.latencyCycles,
+                              double(s.summary.totalCycles));
+                    EXPECT_EQ(p.energyPj, s.summary.totalEnergyPj);
+                    EXPECT_EQ(p.areaMm2, cost.totalAreaMm2());
+                    EXPECT_EQ(p.powerMw, cost.totalPowerMw());
+                    dse::EvalCounters::visit(
+                        [&](dse::CounterId c, std::uint64_t x,
+                            std::uint64_t y) {
+                            EXPECT_EQ(x, y)
+                                << dse::counterRow(c).metric << " id "
+                                << id;
+                        },
+                        da, db);
+                }
+            }
+        }
+    }
+}
+
 } // namespace
 } // namespace lego

@@ -12,6 +12,7 @@
 #include "backend/passes.hh"
 #include "backend/verilog.hh"
 #include "frontend/frontend.hh"
+#include "kernels.hh"
 
 namespace lego
 {
@@ -216,6 +217,30 @@ TEST(Verilog, FusedDesignHasProgrammableFifos)
     EXPECT_EQ(lintVerilog(v), "");
     EXPECT_NE(v.find("lego_fifo"), std::string::npos);
     EXPECT_NE(v.find("cfg"), std::string::npos);
+}
+
+/**
+ * The eleven Fig. 10 designs through the whole generation flow:
+ * every back-end pass (broadcast rewiring included), Verilog, then
+ * the interpreter against the reference on every config.
+ */
+TEST(FullFlow, Fig10DesignsVerify)
+{
+    std::vector<NamedDesign> designs = fig10Designs();
+    ASSERT_EQ(designs.size(), 11u);
+    for (NamedDesign &d : designs) {
+        SCOPED_TRACE(d.name);
+        Adg adg = generateArchitecture(d.configs);
+        CodegenResult gen = codegen(adg);
+        runBackend(gen);
+        const std::string v = emitVerilog(gen, "lego_fig10");
+        for (int cfg = 0; cfg < int(adg.configs.size()); cfg++)
+            EXPECT_TRUE(verifyAgainstReference(gen, adg, cfg, 97))
+                << "cfg " << cfg;
+        EXPECT_TRUE(delaysMatched(gen.dag));
+        EXPECT_NO_THROW(gen.dag.validate());
+        EXPECT_EQ(lintVerilog(v), "");
+    }
 }
 
 } // namespace
