@@ -2,8 +2,8 @@
  * @file
  * Cooperative cancellation for DSE sweeps: a CancelToken carries an
  * explicit cancel flag and/or an absolute deadline, and long-running
- * loops (mapping-frontier sweeps, explore batches, segment-annealing
- * rounds) poll shouldStop() at chunk boundaries.
+ * loops (mapping-frontier sweeps, explore batches, segment-group
+ * costings) poll shouldStop() at chunk boundaries.
  *
  * The contract is BEST-SO-FAR, never nothing: a tripped token makes
  * a sweep stop refining and return what it already has (every layer

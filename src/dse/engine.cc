@@ -71,7 +71,6 @@ DseEngine::publishMetrics(obs::MetricsRegistry &registry) const
     EvalCounters::visit(publish, evaluator_.counters());
     const SegmentSearchStats seg = segmentStats();
     registry.counter("dse.segment.runs").set(seg.chainRuns);
-    registry.counter("dse.segment.moves").set(seg.movesTried);
     registry.counter("dse.segment.plans").set(seg.plansEvaluated);
     registry.counter("dse.segment.infeasible").set(seg.infeasible);
     registry.counter("dse.segment.accepted").set(seg.accepted);
@@ -208,7 +207,6 @@ DseEngine::searchSegmentPlan(const HardwareConfig &hw, const Model &m,
     // is independent per call — only the roll-up is shared).
     std::lock_guard<std::mutex> lk(segMu_);
     segStats_.chainRuns += stats.chainRuns;
-    segStats_.movesTried += stats.movesTried;
     segStats_.plansEvaluated += stats.plansEvaluated;
     segStats_.infeasible += stats.infeasible;
     segStats_.accepted += stats.accepted;

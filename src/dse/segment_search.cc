@@ -1,12 +1,10 @@
 #include "dse/segment_search.hh"
 
 #include <algorithm>
-#include <cmath>
 #include <map>
 #include <tuple>
 
 #include "dse/cost_cache.hh"
-#include "dse/strategy.hh"
 #include "obs/trace.hh"
 #include "sim/arch_config.hh"
 
@@ -23,8 +21,7 @@ namespace
  * starts at one column, then the spare columns go one at a time to
  * the stage with the highest remaining MACs-per-column — the
  * rate-balancing heuristic (the pipeline runs at the slowest
- * stage's rate). Deterministic; the annealer's resize moves refine
- * it from here.
+ * stage's rate). Deterministic; polish() refines it from here.
  */
 std::vector<int>
 initCols(const HardwareConfig &hw, const Model &m, std::size_t first,
@@ -49,12 +46,12 @@ initCols(const HardwareConfig &hw, const Model &m, std::size_t first,
     return cols;
 }
 
-/** One group of the per-run segmentation state. */
+/** One pipelined group of a chain run. */
 struct Group
 {
     std::size_t start = 0; //!< Offset inside the run.
-    std::size_t len = 1;
-    std::vector<int> cols; //!< Per member; empty for singletons.
+    std::size_t len = 2;
+    std::vector<int> cols; //!< Array columns of each member stage.
 };
 
 /** Orders groups by (start, len, cols): the run memo's key. */
@@ -76,21 +73,21 @@ struct GroupEval
     Segment seg;
 };
 
-class RunAnnealer
+/** Exact segmentation of one chain run: bestSegmentation() over the
+ *  run's groups, each costed once through a (start, len, cols) memo. */
+class RunSearch
 {
   public:
-    RunAnnealer(const HardwareConfig &hw, const Model &m,
-                const Evaluator &ev, const SegmentOptions &opt,
-                std::size_t first, std::size_t len,
-                const std::vector<MappedLayer> &serial,
-                const SramPartitionTable &sram,
-                const NocPartitionTable &noc,
-                SegmentSearchStats *stats,
-                const CancelToken *cancel)
+    RunSearch(const HardwareConfig &hw, const Model &m,
+              const Evaluator &ev, const SegmentOptions &opt,
+              std::size_t first, std::size_t len,
+              const std::vector<MappedLayer> &serial,
+              const SramPartitionTable &sram,
+              const NocPartitionTable &noc, SegmentSearchStats *stats,
+              const CancelToken *cancel)
         : hw_(hw), m_(m), ev_(ev), opt_(opt), first_(first),
           len_(len), serial_(serial), sram_(sram), noc_(noc),
-          stats_(stats), cancel_(cancel),
-          rng_(opt.seed ^ (0x9e3779b97f4a7c15ull * (first + 1)))
+          stats_(stats), cancel_(cancel)
     {
         for (std::size_t i = 0; i < len_; ++i) {
             serialCycles_ += serial_[i].result.cycles;
@@ -98,58 +95,66 @@ class RunAnnealer
         }
     }
 
-    /** Anneal, then emit the run's segments (strict-domination
-     *  filtered) into `plan`. */
+    /** Search the run, then emit its segments into `out`. */
     void run(std::vector<Segment> *out)
     {
-        std::vector<Group> state(len_);
+        std::vector<double> singles(len_);
         for (std::size_t i = 0; i < len_; ++i)
-            state[i] = Group{i, 1, {}};
-        double obj = objective(state);
-        // Best-so-far snapshot: the walk stays hot enough to wander
-        // off a good state late in the schedule, so the emitted plan
-        // is the best state ever visited, not wherever cooling
-        // happened to stop.
-        std::vector<Group> best = state;
-        double bestObj = obj;
-
-        // Temperature-accept loop as in strategy.cc's annealer:
-        // early moves may take uphill steps, later ones settle. The
-        // start temperature is hot enough to accept a freshly merged
-        // group whose equal-ish init split costs ~25-50% over serial
-        // — the resize moves then have something to improve.
-        double temp = 0.35;
-        for (int round = 0; round < opt_.rounds; ++round) {
-            // Round boundary is the chunk: a tripped deadline stops
-            // proposing and emits the best state visited so far.
-            if (cancel_ && cancel_->shouldStop()) {
-                cancel_->noteDegraded();
-                break;
-            }
-            std::vector<Group> cand = propose(state);
-            if (stats_)
-                ++stats_->movesTried;
-            if (cand.empty()) {
-                temp *= 0.97;
-                continue;
-            }
-            const double candObj = objective(cand);
-            const double d = candObj - obj;
-            if (d <= 0 || rng_.unit() < std::exp(-d / temp)) {
-                state = std::move(cand);
-                obj = candObj;
-                if (obj < bestObj) {
-                    best = state;
-                    bestObj = obj;
+            singles[i] = normalized(serial_[i].result.cycles,
+                                    serial_[i].result.energyPj);
+        // Qualifying groups by (start, len), pointing into the memo.
+        std::map<std::pair<std::size_t, std::size_t>, const GroupEval *>
+            qualified;
+        bool tripped = false;
+        const std::vector<std::size_t> lens = bestSegmentation(
+            singles, opt_.maxStages,
+            [&](std::size_t start,
+                std::size_t len) -> std::optional<double> {
+                // A tripped token costs no further group: the rest
+                // of the run extends with singletons only.
+                if (!tripped && cancel_ && cancel_->shouldStop()) {
+                    tripped = true;
+                    cancel_->noteDegraded();
                 }
-            }
-            temp *= 0.97;
-        }
+                if (tripped)
+                    return std::nullopt;
+                Group g{start, len,
+                        initCols(hw_, m_, first_ + start, len)};
+                polish(&g);
+                const GroupEval &ge = memoEval(g);
+                Int sc = 0;
+                double se = 0;
+                serialCost(g, &sc, &se);
+                if (!(ge.feasible && ge.cycles < sc &&
+                      ge.energyPj < se))
+                    return std::nullopt;
+                qualified[{start, len}] = &ge;
+                return normalized(ge.cycles, ge.energyPj);
+            });
 
-        emit(best, out);
+        std::size_t start = 0;
+        for (const std::size_t len : lens) {
+            if (len >= 2) {
+                if (stats_)
+                    ++stats_->accepted;
+                out->push_back(qualified.at({start, len})->seg);
+            } else {
+                out->push_back(Segment{first_ + start, 1, {}, {}});
+            }
+            start += len;
+        }
     }
 
   private:
+    /** Cost as a share of the run's serial cycles plus its share of
+     *  the run's serial energy: additive over a run's groups. */
+    double normalized(Int cycles, double energy) const
+    {
+        return double(cycles) /
+                   double(std::max<Int>(1, serialCycles_)) +
+               energy / std::max(1e-9, serialEnergy_);
+    }
+
     /** Serial (whole-array) cost of the group's member layers. */
     void serialCost(const Group &g, Int *cycles, double *energy) const
     {
@@ -165,7 +170,8 @@ class RunAnnealer
 
     /** Group cost normalized against its own serial execution
      *  (2.0 = break-even, < 2.0 beats serial on aggregate;
-     *  infeasible pegged at the soft 2.5 penalty). */
+     *  infeasible pegged at the soft 2.5 penalty, so polish can
+     *  walk out of buffer-infeasible splits). */
     double groupObjective(const Group &g)
     {
         const GroupEval &ge = memoEval(g);
@@ -182,16 +188,11 @@ class RunAnnealer
      * Deterministic greedy descent over single-quantum resize
      * neighbours of a multi-stage group: evaluate every legal +-q
      * column shift between adjacent stages, step to the best
-     * improving neighbour, repeat until a local optimum. Freshly
-     * merged groups arrive rate-balanced AND feasible when such a
-     * neighbour exists, instead of asking the cooling schedule to
-     * find it one lucky resize at a time. Every evaluation is
-     * run-memoized, so revisits are cheap.
+     * improving neighbour, repeat until a local optimum. Every
+     * evaluation is run-memoized, so revisits are cheap.
      */
     void polish(Group *g)
     {
-        if (g->len < 2)
-            return;
         const int q = std::max(1, hw_.cols / 8);
         for (int iter = 0; iter < 16; ++iter) {
             double best = groupObjective(*g);
@@ -223,7 +224,7 @@ class RunAnnealer
     /** Cost of a pipelined group, evaluated on first sight and read
      *  back from the run memo after that. A group's cost depends on
      *  (start, len, cols) alone, so a memo read equals a fresh
-     *  evaluation and every walk stays bit-identical. */
+     *  evaluation. */
     const GroupEval &memoEval(const Group &g)
     {
         auto it = memo_.find(g);
@@ -306,146 +307,6 @@ class RunAnnealer
         return ge;
     }
 
-    /** Normalized state objective: latency share + energy share of
-     *  the serial baseline (lower is better; 2.0 = break-even). */
-    double objective(const std::vector<Group> &state)
-    {
-        Int cycles = 0;
-        double energy = 0;
-        for (const Group &g : state) {
-            if (g.len == 1) {
-                cycles += serial_[g.start].result.cycles;
-                energy += serial_[g.start].result.energyPj;
-                continue;
-            }
-            const GroupEval &ge = memoEval(g);
-            if (!ge.feasible) {
-                // Soft penalty, not a hard wall: an infeasible group
-                // costs its serial execution plus 25%. The walk can
-                // then cross infeasible territory — a freshly merged
-                // equal-split group often overflows its L1 shares
-                // while a one-resize neighbour is feasible AND
-                // dominating — and emit() still never accepts an
-                // infeasible (or non-dominating) segment.
-                Int sc = 0;
-                double se = 0;
-                serialCost(g, &sc, &se);
-                cycles += sc + sc / 4;
-                energy += se * 1.25;
-                continue;
-            }
-            cycles += ge.cycles;
-            energy += ge.energyPj;
-        }
-        return double(cycles) / double(std::max<Int>(1, serialCycles_)) +
-               energy / std::max(1e-9, serialEnergy_);
-    }
-
-    /** Propose a mutated state; empty when the chosen move has no
-     *  legal candidate (the caller still advances temperature). */
-    std::vector<Group> propose(std::vector<Group> state)
-    {
-        const std::uint64_t kind = rng_.next() % 3;
-        if (kind == 0) {
-            // Merge two adjacent groups.
-            std::vector<std::size_t> cand;
-            for (std::size_t b = 0; b + 1 < state.size(); ++b)
-                if (state[b].len + state[b + 1].len <=
-                    std::size_t(opt_.maxStages))
-                    cand.push_back(b);
-            if (cand.empty())
-                return {};
-            const std::size_t b =
-                cand[rng_.below(cand.size())];
-            Group merged;
-            merged.start = state[b].start;
-            merged.len = state[b].len + state[b + 1].len;
-            merged.cols = initCols(hw_, m_, first_ + merged.start,
-                                   merged.len);
-            polish(&merged);
-            state.erase(state.begin() + long(b + 1));
-            state[b] = std::move(merged);
-            return state;
-        }
-        if (kind == 1) {
-            // Split a multi-layer group.
-            std::vector<std::size_t> cand;
-            for (std::size_t i = 0; i < state.size(); ++i)
-                if (state[i].len >= 2)
-                    cand.push_back(i);
-            if (cand.empty())
-                return {};
-            const std::size_t gi = cand[rng_.below(cand.size())];
-            const Group g = state[gi];
-            const std::size_t cut =
-                1 + std::size_t(rng_.below(g.len - 1));
-            Group left{g.start, cut, {}};
-            Group right{g.start + cut, g.len - cut, {}};
-            if (left.len >= 2) {
-                left.cols =
-                    initCols(hw_, m_, first_ + left.start, left.len);
-                polish(&left);
-            }
-            if (right.len >= 2) {
-                right.cols = initCols(hw_, m_, first_ + right.start,
-                                      right.len);
-                polish(&right);
-            }
-            state[gi] = std::move(left);
-            state.insert(state.begin() + long(gi + 1),
-                         std::move(right));
-            return state;
-        }
-        // Resize: shift a column quantum between adjacent stages of
-        // a pipelined group.
-        std::vector<std::size_t> cand;
-        for (std::size_t i = 0; i < state.size(); ++i)
-            if (state[i].len >= 2)
-                cand.push_back(i);
-        if (cand.empty())
-            return {};
-        const std::size_t gi = cand[rng_.below(cand.size())];
-        Group &g = state[gi];
-        const int q = std::max(1, hw_.cols / 8);
-        const std::size_t s = rng_.below(g.len - 1);
-        const bool leftToRight = rng_.next() & 1;
-        int &from = g.cols[leftToRight ? s : s + 1];
-        int &to = g.cols[leftToRight ? s + 1 : s];
-        if (from - q < 1)
-            return {};
-        from -= q;
-        to += q;
-        return state;
-    }
-
-    /** Convert the final state into plan segments. A pipelined group
-     *  survives only when strictly dominating its serial execution
-     *  on BOTH axes; everything else decomposes to singletons. */
-    void emit(const std::vector<Group> &state, std::vector<Segment> *out)
-    {
-        for (const Group &g : state) {
-            if (g.len >= 2) {
-                const GroupEval &ge = memoEval(g);
-                Int serialCycles = 0;
-                double serialEnergy = 0;
-                serialCost(g, &serialCycles, &serialEnergy);
-                if (ge.feasible && ge.cycles < serialCycles &&
-                    ge.energyPj < serialEnergy) {
-                    if (stats_)
-                        ++stats_->accepted;
-                    out->push_back(ge.seg);
-                    continue;
-                }
-            }
-            for (std::size_t i = 0; i < g.len; ++i) {
-                Segment s;
-                s.first = first_ + g.start + i;
-                s.len = 1;
-                out->push_back(std::move(s));
-            }
-        }
-    }
-
     const HardwareConfig &hw_;
     const Model &m_;
     const Evaluator &ev_;
@@ -456,13 +317,39 @@ class RunAnnealer
     const NocPartitionTable &noc_;
     SegmentSearchStats *stats_;
     const CancelToken *cancel_;
-    SplitMix64 rng_;
     Int serialCycles_ = 0;      //!< Serial cost of the whole run.
     double serialEnergy_ = 0;
     std::map<Group, GroupEval, GroupLess> memo_; //!< Pipelined groups.
 };
 
 } // namespace
+
+std::vector<std::size_t>
+bestSegmentation(const std::vector<double> &singles, int maxStages,
+                 const GroupCostFn &group)
+{
+    const std::size_t n = singles.size();
+    const std::size_t maxLen = std::size_t(std::max(1, maxStages));
+    // best[i]: least cost of the first i layers; last[i]: the length
+    // of that prefix's last group.
+    std::vector<double> best(n + 1, 0);
+    std::vector<std::size_t> last(n + 1, 1);
+    for (std::size_t i = 1; i <= n; ++i) {
+        best[i] = best[i - 1] + singles[i - 1];
+        for (std::size_t len = 2; len <= std::min(i, maxLen); ++len) {
+            const std::optional<double> c = group(i - len, len);
+            if (c && best[i - len] + *c < best[i]) {
+                best[i] = best[i - len] + *c;
+                last[i] = len;
+            }
+        }
+    }
+    std::vector<std::size_t> lens;
+    for (std::size_t i = n; i > 0; i -= last[i])
+        lens.push_back(last[i]);
+    std::reverse(lens.begin(), lens.end());
+    return lens;
+}
 
 SegmentPlan
 searchSegments(const HardwareConfig &hw, const Model &m,
@@ -507,9 +394,9 @@ searchSegments(const HardwareConfig &hw, const Model &m,
         std::vector<MappedLayer> runSerial(
             serial.begin() + long(run.first),
             serial.begin() + long(run.first + run.second));
-        RunAnnealer annealer(hw, m, ev, opt, run.first, run.second,
-                             runSerial, sram, noc, stats, cancel);
-        annealer.run(&plan.segments);
+        RunSearch(hw, m, ev, opt, run.first, run.second, runSerial,
+                  sram, noc, stats, cancel)
+            .run(&plan.segments);
         next = run.first + run.second;
     }
     for (; next < m.layers.size(); ++next)

@@ -64,8 +64,6 @@ struct SegmentOptions
 {
     bool enable = false; //!< Off: classical per-layer scheduling.
     int maxStages = 4;   //!< Max layers sharing the array at once.
-    int rounds = 96;     //!< Annealing iterations per chain run.
-    std::uint64_t seed = 0x5e67u; //!< Annealer stream seed.
 };
 
 /** The degenerate plan: one singleton segment per layer. */

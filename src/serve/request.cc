@@ -439,7 +439,7 @@ demoTrace()
 {
     // The lego_serve workload: classical K = 1 schedules for each
     // network and the whole zoo, then K = 8 frontier requests, then
-    // budgeted compositions. The budget magnitudes sit between the
+    // budgeted compositions, then segmented schedules. The budget magnitudes sit between the
     // best-latency and min-energy extremes of the default 16x16
     // MN/IC-OC deployment config, so the composer takes real swaps.
     auto mk = [](const char *id, std::vector<std::string> models,
@@ -479,6 +479,14 @@ demoTrace()
     t.push_back(mk("zoo-minenergy", zoo, Objective::Energy, 0, 8));
     t.push_back(mk("zoo-ebudget", zoo, Objective::Latency, 1.16e10,
                    8));
+    // Segmentation search on: MobileNetV2 pipelines six conv pairs.
+    auto seg = [](ServeRequest r) {
+        r.segment = true;
+        return r;
+    };
+    t.push_back(seg(mk("mbv2-seg", {"mobilenetv2"}, Objective::Latency,
+                       0, 1)));
+    t.push_back(seg(mk("zoo-seg", zoo, Objective::Latency, 0, 8)));
     return t;
 }
 

@@ -383,9 +383,9 @@ ServeLoop::buildResponse(const Pending &p)
     ComposeOptions copt;
     copt.frontierK =
         p.req.frontierK == 0 ? 1 : p.req.frontierK;
-    // Segmentation knobs (maxStages / rounds / seed) come from the
-    // loop's configured compose options; the request only flips the
-    // switch. Default off keeps the layer-valued path untouched.
+    // maxStages comes from the loop's configured compose options;
+    // the request only flips the switch. Default off keeps the
+    // layer-valued path untouched.
     copt.segment = opt_.dse.compose.segment;
     copt.segment.enable = p.req.segment;
     if (p.req.objective == Objective::Latency) {

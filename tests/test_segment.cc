@@ -4,17 +4,23 @@
  * pipelining): chain-run discovery, the all-singleton degenerate
  * case's bit-identity with the layer-valued composer, composer budget
  * edge cases (budget = 0, single-layer models, infeasible caps),
- * buffer-capacity infeasibility in the segment cost model, annealer
- * determinism for any worker count, every registry model's searched
- * plan and cold work pinned, segment-record cache round trips
- * (v3) with stale v2 rejection, and the serve-loop segmentation knob
- * (default off = bit-identical replies).
+ * buffer-capacity infeasibility in the segment cost model, the
+ * segmentation dynamic program against brute-force enumeration of
+ * synthetic runs, search determinism for any worker count, the
+ * tripped-deadline fallback, every registry model's searched plan and
+ * cold work pinned, segment-record cache round trips (v3) with stale
+ * v2 rejection, and the serve-loop segmentation knob (default off =
+ * bit-identical replies).
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <fstream>
+#include <limits>
+#include <map>
+#include <optional>
+#include <random>
 
 #include "lego.hh"
 
@@ -23,6 +29,7 @@ namespace lego
 namespace
 {
 
+using dse::CancelToken;
 using dse::CostCache;
 using dse::DseEngine;
 using dse::DseOptions;
@@ -223,9 +230,132 @@ TEST(SegmentCost, BufferCapacityInfeasible)
     EXPECT_EQ(partitionConfig(hw, 8).l1Kb, hw.l1Kb / 2);
 }
 
+/** Every segmentation of `n` layers into groups of at most `maxLen`,
+ *  as group lengths in layer order. */
+void
+allSegmentations(std::size_t n, std::size_t maxLen,
+                 std::vector<std::size_t> *prefix,
+                 std::vector<std::vector<std::size_t>> *out)
+{
+    if (n == 0) {
+        out->push_back(*prefix);
+        return;
+    }
+    for (std::size_t len = 1; len <= std::min(n, maxLen); ++len) {
+        prefix->push_back(len);
+        allSegmentations(n - len, maxLen, prefix, out);
+        prefix->pop_back();
+    }
+}
+
+/** The dynamic program is exact: on seeded synthetic runs (some
+ *  groups not qualifying, small integer costs so sums are exact and
+ *  ties frequent) its plan is the least-cost segmentation found by
+ *  enumeration, and among equal-cost plans the one the tie rule picks
+ *  (singleton first, then the shorter group, at every prefix end —
+ *  the least reversed length list). Each group is costed once, in
+ *  order of its end, then its length. */
+TEST(SegmentSearch, DynamicProgramMatchesBruteForce)
+{
+    using Key = std::pair<std::size_t, std::size_t>;
+    std::mt19937 rng(0x5e67);
+    for (std::size_t n = 1; n <= 8; ++n) {
+        for (int maxStages = 1; maxStages <= 4; ++maxStages) {
+            const std::size_t maxLen = std::size_t(maxStages);
+            std::vector<std::vector<std::size_t>> plans;
+            std::vector<std::size_t> prefix;
+            allSegmentations(n, maxLen, &prefix, &plans);
+            for (int trial = 0; trial < 40; ++trial) {
+                SCOPED_TRACE(testing::Message()
+                             << "n " << n << " maxStages " << maxStages
+                             << " trial " << trial);
+                std::vector<double> singles(n);
+                for (double &c : singles)
+                    c = double(1 + rng() % 4);
+                std::map<Key, std::optional<double>> groups;
+                std::vector<Key> order;
+                for (std::size_t end = 2; end <= n; ++end)
+                    for (std::size_t len = 2;
+                         len <= std::min(end, maxLen); ++len) {
+                        const Key k{end - len, len};
+                        order.push_back(k);
+                        if (rng() % 3 != 0)
+                            groups[k] = double(1 + rng() % (4 * len));
+                        else
+                            groups[k] = std::nullopt;
+                    }
+
+                std::vector<Key> calls;
+                const std::vector<std::size_t> lens =
+                    dse::bestSegmentation(
+                        singles, maxStages,
+                        [&](std::size_t start, std::size_t len) {
+                            calls.push_back({start, len});
+                            return groups.at({start, len});
+                        });
+                EXPECT_EQ(calls, order);
+
+                // Cost of a plan, summed left to right as the DP
+                // does; nullopt when a group does not qualify.
+                auto cost = [&](const std::vector<std::size_t> &plan)
+                    -> std::optional<double> {
+                    double sum = 0;
+                    std::size_t start = 0;
+                    for (const std::size_t len : plan) {
+                        if (len == 1) {
+                            sum += singles[start];
+                        } else {
+                            const std::optional<double> c =
+                                groups.at({start, len});
+                            if (!c)
+                                return std::nullopt;
+                            sum += *c;
+                        }
+                        start += len;
+                    }
+                    return sum;
+                };
+                double least = std::numeric_limits<double>::infinity();
+                std::vector<std::size_t> want, wantRev;
+                for (const std::vector<std::size_t> &plan : plans) {
+                    const std::optional<double> c = cost(plan);
+                    if (!c)
+                        continue;
+                    const std::vector<std::size_t> rev(plan.rbegin(),
+                                                       plan.rend());
+                    if (*c < least || (*c == least && rev < wantRev)) {
+                        least = *c;
+                        want = plan;
+                        wantRev = rev;
+                    }
+                }
+                ASSERT_TRUE(cost(lens).has_value());
+                EXPECT_EQ(*cost(lens), least);
+                EXPECT_EQ(lens, want);
+            }
+        }
+    }
+
+    // Deliberate ties on three layers costing 2 each: {2,1}, {1,2}
+    // and {3} all cost 5, and the singleton ending wins.
+    const std::vector<double> twos = {2, 2, 2};
+    auto fixed = [](double g01, double g12, double g012) {
+        return [=](std::size_t start, std::size_t len) {
+            if (len == 3)
+                return std::optional<double>(g012);
+            return std::optional<double>(start == 0 ? g01 : g12);
+        };
+    };
+    EXPECT_EQ(dse::bestSegmentation(twos, 3, fixed(3, 3, 5)),
+              (std::vector<std::size_t>{2, 1}));
+    // {1,2} and {3} tie at 4: the shorter group wins.
+    EXPECT_EQ(dse::bestSegmentation(twos, 3, fixed(3, 2, 4)),
+              (std::vector<std::size_t>{1, 2}));
+}
+
 /** Same segmented schedule for 1 and 8 workers, cold or warm — the
- *  search runs on the dispatcher thread with one SplitMix64 stream,
- *  so the worker pool cannot perturb it. */
+ *  search has no randomness and runs on the dispatcher thread, so
+ *  the worker pool cannot perturb it. */
 TEST(SegmentSearch, WorkerCountAndWarmDeterminism)
 {
     Model m = chainModel();
@@ -248,7 +378,38 @@ TEST(SegmentSearch, WorkerCountAndWarmDeterminism)
     EXPECT_TRUE(sameSchedule(r1, warm));
     expectSameSegments(r1.segments, warm.segments);
     EXPECT_GT(e1.cache().counters().segHits, 0u);
-    EXPECT_GT(e1.segmentStats().movesTried, 0u);
+    EXPECT_GT(e1.segmentStats().plansEvaluated, 0u);
+}
+
+/** A deadline that has already passed costs no group: the plan is
+ *  all singletons, the token reads degraded, and no segment record
+ *  enters the cache. A deadline-free search on the same cache then
+ *  finds the plan an untouched cache gives. */
+TEST(SegmentSearch, TrippedTokenFallsBackToSingletons)
+{
+    Model m = chainModel();
+    HardwareConfig hw;
+    hw.dram.bandwidthGBs = 4.0;
+    SegmentOptions sopt;
+    sopt.enable = true;
+
+    CostCache cache;
+    Evaluator ev(&cache);
+    CancelToken expired;
+    expired.setDeadlineIn(0);
+    SegmentPlan cut =
+        dse::searchSegments(hw, m, ev, sopt, nullptr, &expired);
+    EXPECT_TRUE(cut.allSingleton());
+    EXPECT_EQ(cut.segments.size(), m.layers.size());
+    EXPECT_TRUE(expired.degraded());
+    EXPECT_EQ(cache.counters().segInserts, 0u);
+
+    SegmentPlan after = dse::searchSegments(hw, m, ev, sopt);
+    CostCache fresh;
+    Evaluator freshEv(&fresh);
+    SegmentPlan want = dse::searchSegments(hw, m, freshEv, sopt);
+    EXPECT_FALSE(want.allSingleton());
+    expectSameSegments(after.segments, want.segments);
 }
 
 /** Segmentation disabled (the default) leaves the engine's composed
@@ -346,17 +507,17 @@ TEST(SegmentSearch, RegistryPlansArePinned)
     // {model, cold segMisses, cold modelEvals, plansEvaluated,
     //  {{first, len, cols, cycles, energyPj}, ...}}
     const std::vector<PinnedPlan> pins = {
-        {"alexnet", 35, 56, 35,
+        {"alexnet", 32, 53, 32,
          {{9, 3, {10, 3, 3}, 3701890, 4889835430.4776287}}},
-        {"mobilenetv2", 53, 170, 59,
+        {"mobilenetv2", 49, 154, 55,
          {{0, 2, {12, 4}, 70139, 76333883.149717852},
           {4, 2, {14, 2}, 94524, 81636697.035026789},
           {8, 2, {9, 7}, 78943, 79912777.994597897},
           {13, 2, {14, 2}, 54968, 50108198.330786981},
           {17, 2, {12, 4}, 33887, 44586278.92702093},
           {22, 2, {13, 3}, 26255, 19521082.414411418}}},
-        {"resnet50", 42, 163, 42, {}},
-        {"efficientnetv2", 41, 176, 142,
+        {"resnet50", 48, 162, 48, {}},
+        {"efficientnetv2", 37, 160, 134,
          {{6, 2, {13, 3}, 191094, 121298780.6652267},
           {10, 2, {14, 2}, 50497, 59820028.439041696},
           {14, 2, {14, 2}, 50497, 59820028.439041696},
@@ -365,7 +526,7 @@ TEST(SegmentSearch, RegistryPlansArePinned)
           {26, 2, {14, 2}, 50497, 59820028.439041696}}},
         {"bert", 0, 0, 0, {}},
         {"gpt2", 0, 0, 0, {}},
-        {"coatnet", 7, 65, 7,
+        {"coatnet", 6, 59, 6,
          {{1, 2, {13, 3}, 1016214, 660044884.54166341}}},
         {"lenet", 13, 26, 13, {}},
         {"ddpm", 3, 61, 3, {}},
@@ -579,11 +740,11 @@ TEST(ServeSegment, KnobOnServesSegmentedSchedules)
     // Same request, same engine: bit-identical replies (ids/seq
     // differ by admission, so compare the schedules directly).
     EXPECT_TRUE(sameSchedule(rs[0].schedules[0], rs[1].schedules[0]));
-    EXPECT_GT(loop.engine().segmentStats().movesTried, 0u);
+    EXPECT_GT(loop.engine().segmentStats().plansEvaluated, 0u);
 
     obs::MetricsRegistry reg;
     loop.engine().publishMetrics(reg);
-    EXPECT_TRUE(reg.snapshot().toJson().find("dse.segment.moves") !=
+    EXPECT_TRUE(reg.snapshot().toJson().find("dse.segment.plans") !=
                 std::string::npos);
     loop.shutdown();
 }

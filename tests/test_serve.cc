@@ -257,6 +257,8 @@ TEST(ServeRequestParse, CheckedInTraceMatchesDemoTrace)
         EXPECT_EQ(fromFile[i].objective, demo[i].objective) << i;
         EXPECT_DOUBLE_EQ(fromFile[i].budget, demo[i].budget) << i;
         EXPECT_EQ(fromFile[i].frontierK, demo[i].frontierK) << i;
+        EXPECT_EQ(fromFile[i].segment, demo[i].segment) << i;
+        EXPECT_EQ(fromFile[i].deadlineMs, demo[i].deadlineMs) << i;
     }
 }
 

@@ -116,8 +116,8 @@ def check_stats(path, expect_failpoints=None,
     # way).
     if any(name.startswith("dse.") for name in counters):
         table_counters, table_gauges = counter_table()
-        for name in ["dse.segment.runs", "dse.segment.moves",
-                     "dse.segment.plans", "dse.segment.infeasible",
+        for name in ["dse.segment.runs", "dse.segment.plans",
+                     "dse.segment.infeasible",
                      "dse.segment.accepted"] + table_counters:
             if name not in counters:
                 return fail(f"{path}: counters missing {name!r}")
